@@ -27,7 +27,9 @@ from repro.nas import NASConfig
 from repro.strategies import StrategyRunConfig
 from repro.training.trainer import TrainingConfig
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where runs write their tables: untracked, so running the suite leaves the
+#: checkout clean.  ``benchmarks/results/`` holds the committed copies.
+RESULTS_DIR = Path(__file__).resolve().parent.parent / ".benchmarks" / "results"
 
 BENCH_SEQ_LEN = 12
 BENCH_NAS_CANDIDATES = (
@@ -75,7 +77,7 @@ def bench_strategy_config(encoder_type: str, n_initial: int = 8, seed: int = 1,
 
 
 def save_result(name: str, text: str) -> None:
-    """Persist a rendered table under ``benchmarks/results`` and echo it to stdout."""
+    """Persist a rendered table under ``.benchmarks/results`` and echo it to stdout."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====\n{text}\n")

@@ -347,7 +347,10 @@ class AntTuneClient:
         reconnects transparently, resuming from the highest ``seq`` already
         yielded — no duplicates, no gaps, even when the *server process
         itself* was killed and restarted in between (the replay then comes
-        off disk; see the module docs for the retry budget).
+        off disk; see the module docs for the retry budget).  A jump in
+        ``seq`` (events the server dropped from an overflowing live queue)
+        is never yielded across: the stream reconnects from the last event
+        yielded and the server backfills the missing ones from its log.
 
         Args:
             job_id: the job to follow.
@@ -358,8 +361,8 @@ class AntTuneClient:
             Typed events.
 
         Raises:
-            TrialError: unknown job, or the stream died and reconnection
-                kept failing without progress.
+            TrialError: unknown job, or the stream died (or kept skipping
+                seqs) and reconnection kept failing without progress.
         """
         retries = 0
         while True:
@@ -376,7 +379,7 @@ class AntTuneClient:
             # An HTTP error *response* (unknown job, bad auth, rejected
             # parameters) is permanent — _open_stream raised it already and
             # it propagates: retrying cannot change the answer.
-            failure: Optional[BaseException] = None
+            failure: Union[BaseException, str, None] = None
             try:
                 for line in response:
                     line = line.strip()
@@ -385,6 +388,11 @@ class AntTuneClient:
                     event = event_from_wire(json.loads(line.decode("utf-8")))
                     if event.seq <= last_seq:
                         continue  # replay overlap after a reconnect
+                    if event.seq != last_seq + 1:
+                        # Events went missing in transit: reconnect so the
+                        # server backfills them from its durable log.
+                        failure = f"seqs {last_seq + 1}..{event.seq - 1} missing"
+                        break
                     last_seq = event.seq
                     made_progress = True
                     retries = 0
@@ -397,9 +405,10 @@ class AntTuneClient:
                 failure = exc
             finally:
                 response.close()
-            # Reconnect: either the connection failed, or the server closed
-            # the stream without a terminal event (shed queue tail, handler
-            # error).  Repeated attempts that deliver nothing new give up.
+            # Reconnect: either the connection failed, the stream skipped
+            # seqs, or the server closed it without a terminal event (shed
+            # queue tail, handler error).  Repeated attempts that deliver
+            # nothing new give up.
             if not made_progress:
                 retries += 1
                 if retries > self.max_stream_retries:

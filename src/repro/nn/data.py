@@ -19,12 +19,15 @@ class Batch:
         sequences: int array (B, T) of behaviour token ids.
         mask: float array (B, T) with 1 for valid positions.
         labels: float array (B,) of binary labels.
+        indices: the dataset rows the batch was gathered from, when it was
+            built by :meth:`ArrayDataset.batch`.
     """
 
     profiles: np.ndarray
     sequences: np.ndarray
     mask: np.ndarray
     labels: np.ndarray
+    indices: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -56,7 +59,7 @@ class ArrayDataset:
 
     def batch(self, indices: Sequence[int]) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
-        return Batch(self.profiles[idx], self.sequences[idx], self.mask[idx], self.labels[idx])
+        return Batch(self.profiles[idx], self.sequences[idx], self.mask[idx], self.labels[idx], idx)
 
     def as_batch(self) -> Batch:
         return Batch(self.profiles, self.sequences, self.mask, self.labels)

@@ -21,6 +21,9 @@ from repro.utils.rng import new_rng
 
 __all__ = ["TrainingConfig", "TrainingHistory", "train_supervised", "evaluate_auc"]
 
+#: Rows per inference pass; bounds memory when a whole dataset is scored.
+_INFERENCE_BATCH = 1024
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -62,11 +65,19 @@ def train_supervised(model: Module, dataset: ArrayDataset, config: TrainingConfi
     """Train ``model`` on ``dataset``; distil from ``teacher`` when provided.
 
     The model must expose ``forward(batch) -> Tensor`` of per-sample logits and
-    (for the teacher) ``predict_logits(batch) -> np.ndarray``.
+    (for the teacher) ``predict_logits(batch) -> np.ndarray``.  The teacher
+    is frozen and scores each row on its own, so its soft labels are computed
+    once, before the first epoch, and each batch reads its rows by
+    ``batch.indices``.  (BLAS may round a row's logit differently with other
+    rows beside it, so they can differ from per-batch scores in the last bit.)
     """
     rng = new_rng(rng if rng is not None else 0)
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
+    soft_labels = None
+    if teacher is not None:
+        chunks = DataLoader(dataset, batch_size=_INFERENCE_BATCH, shuffle=False)
+        soft_labels = np.concatenate([teacher.predict_logits(chunk) for chunk in chunks])
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
     history = TrainingHistory()
@@ -78,9 +89,8 @@ def train_supervised(model: Module, dataset: ArrayDataset, config: TrainingConfi
                 break
             optimizer.zero_grad()
             logits = model(batch)
-            if teacher is not None:
-                teacher_logits = teacher.predict_logits(batch)
-                loss = distillation_loss(logits, batch.labels, teacher_logits,
+            if soft_labels is not None:
+                loss = distillation_loss(logits, batch.labels, soft_labels[batch.indices],
                                          delta=config.distill_delta)
             else:
                 loss = binary_cross_entropy_with_logits(logits, batch.labels)
@@ -96,7 +106,7 @@ def train_supervised(model: Module, dataset: ArrayDataset, config: TrainingConfi
     return history
 
 
-def evaluate_auc(model: Module, dataset: ArrayDataset, batch_size: int = 1024) -> float:
+def evaluate_auc(model: Module, dataset: ArrayDataset, batch_size: int = _INFERENCE_BATCH) -> float:
     """AUC of ``model`` on ``dataset`` (inference mode, batched)."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")

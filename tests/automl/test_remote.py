@@ -448,6 +448,63 @@ class TestEventStream:
             self._stream(client, job_id)
         assert len(attempts) == 3  # initial try + max_stream_retries
 
+    @staticmethod
+    def _dropping_open(real_open, drop, connections):
+        """An ``_open_stream`` that loses the events whose seq ``drop(seq, n)``
+        selects on the n-th connection, as an overflowing live queue would."""
+
+        class Dropper:
+            def __init__(self, response, connection):
+                self._response = response
+                self._connection = connection
+
+            def __iter__(self):
+                for line in self._response:
+                    if line.strip() and drop(json.loads(line)["seq"], self._connection):
+                        continue
+                    yield line
+
+            def close(self):
+                self._response.close()
+
+        def dropping_open(job_id, last_seq, max_queue):
+            connections.append(last_seq)
+            return Dropper(real_open(job_id, last_seq, max_queue), len(connections))
+
+        return dropping_open
+
+    def test_gap_reconnects_and_backfills(self, client, helper_module, monkeypatch):
+        job_id = client.submit(f"{helper_module}:SPACE",
+                               f"{helper_module}:objective",
+                               config={"n_trials": 3})
+        client.wait(job_id, timeout=30.0)
+        connections = []
+        monkeypatch.setattr(client, "_open_stream", self._dropping_open(
+            client._open_stream, lambda seq, n: n == 1 and 3 <= seq <= 5, connections))
+        events = self._stream(client, job_id)
+        assert connections == [-1, 2]  # reconnected from the last seq before the gap
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert events[-1].terminal
+
+    def test_persistent_gap_raises_naming_the_range(self, client, helper_module,
+                                                    monkeypatch):
+        job_id = client.submit(f"{helper_module}:SPACE",
+                               f"{helper_module}:objective",
+                               config={"n_trials": 1})
+        client.wait(job_id, timeout=30.0)
+        client.max_stream_retries = 2
+        connections = []
+        monkeypatch.setattr(client, "_open_stream", self._dropping_open(
+            client._open_stream, lambda seq, n: seq in (2, 3), connections))
+        seen = []
+        with pytest.raises(TrialError, match=r"seqs 2\.\.3 missing"):
+            for event in client.subscribe(job_id):
+                seen.append(event.seq)
+        assert seen == [0, 1]  # nothing past the gap was yielded
+        # The first connection made progress; then the reconnect that found
+        # the gap again plus max_stream_retries more.
+        assert connections == [-1, 1, 1, 1]
+
     def test_permanent_errors_are_not_retried(self, client, monkeypatch):
         # An HTTP error *response* (unknown job -> 404) can never change:
         # subscribe must raise immediately instead of backing off through

@@ -17,10 +17,12 @@ from repro.meta.distillation import DistillationConfig, distill
 from repro.meta.finetune import FineTuneConfig, fine_tune
 from repro.models.config import ModelConfig
 from repro.models.factory import build_model
-from repro.nn.data import ArrayDataset
-from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.nn.data import ArrayDataset, DataLoader
+from repro.nn.losses import binary_cross_entropy_with_logits, distillation_loss
 from repro.nn.module import clone_module
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.training.trainer import TrainingConfig, evaluate_auc, train_supervised
+from repro.utils.rng import new_rng
 
 
 @pytest.fixture
@@ -202,3 +204,84 @@ class TestDistillation:
         student = build_model(config, seed=1)
         history = distill(teacher, student, scenario.train, DistillationConfig(epochs=2))
         assert len(history.epoch_losses) == 2
+
+    def test_teacher_queried_once_per_row(self, config, tiny_world):
+        rng = np.random.default_rng(4)
+        n = 1100  # more rows than one inference chunk
+        cfg = tiny_world.config
+        dataset = ArrayDataset(rng.normal(size=(n, cfg.profile_dim)),
+                               rng.integers(0, cfg.vocab_size, size=(n, cfg.seq_len)),
+                               labels=rng.integers(0, 2, size=n).astype(float))
+        teacher = RowCountingTeacher(build_model(config, seed=0))
+        distill(teacher, build_model(config, seed=1), dataset,
+                DistillationConfig(epochs=2, batch_size=256), rng=np.random.default_rng(1))
+        assert teacher.rows == [1024, n - 1024]
+
+    @pytest.mark.parametrize("batch_size", [16, 25])
+    def test_student_bitwise_equal_to_per_batch_loop(self, config, tiny_collection, batch_size):
+        teacher = RowWiseTeacher(config.profile_dim)
+        for (name, param), (_, ref) in distill_both_ways(
+                teacher, config, tiny_collection.get(1).train, batch_size):
+            assert np.array_equal(param.data, ref.data), name
+
+    def test_model_teacher_matches_per_batch_loop(self, config, tiny_collection):
+        # A model teacher's logit for a row can move in the last bit with the
+        # rows batched beside it (BLAS picks kernels by matrix shape), so
+        # once-per-run soft labels match the per-batch ones to rounding only,
+        # and Adam's normalised step can lift that to ~1e-12 in a parameter.
+        teacher = build_model(config, seed=0)
+        for (name, param), (_, ref) in distill_both_ways(
+                teacher, config, tiny_collection.get(1).train, 25):
+            np.testing.assert_allclose(param.data, ref.data, rtol=0, atol=1e-9, err_msg=name)
+
+
+class RowCountingTeacher:
+    """Wraps a teacher model and records the rows of every ``predict_logits`` call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = []
+
+    def predict_logits(self, batch):
+        self.rows.append(len(batch))
+        return self.model.predict_logits(batch)
+
+
+class RowWiseTeacher:
+    """A frozen teacher whose logit for a row depends on that row's values alone."""
+
+    def __init__(self, profile_dim):
+        self.weights = np.random.default_rng(9).normal(size=profile_dim)
+
+    def predict_logits(self, batch):
+        return np.tanh(batch.profiles * self.weights).sum(axis=1)
+
+
+def distill_both_ways(teacher, config, dataset, batch_size):
+    """Distil twin students with ``distill`` and with the per-batch reference loop.
+
+    Returns their ``named_parameters`` pairs, in order.
+    """
+    distilled, reference = build_model(config, seed=1), build_model(config, seed=1)
+    settings = DistillationConfig(epochs=3, learning_rate=0.02, batch_size=batch_size)
+    distill(teacher, distilled, dataset, settings, rng=np.random.default_rng(2))
+    per_batch_distill(teacher, reference, dataset, settings, rng=np.random.default_rng(2))
+    return list(zip(distilled.named_parameters(), reference.named_parameters()))
+
+
+def per_batch_distill(teacher, student, dataset, settings, rng):
+    """Reference: the previous loop, which queried the teacher on every batch of every epoch."""
+    config = TrainingConfig(epochs=settings.epochs, learning_rate=settings.learning_rate,
+                            batch_size=settings.batch_size, distill_delta=settings.delta)
+    optimizer = Adam(student.parameters(), lr=config.learning_rate)
+    loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=new_rng(rng))
+    student.train()
+    for _ in range(config.epochs):
+        for batch in loader:
+            optimizer.zero_grad()
+            loss = distillation_loss(student(batch), batch.labels, teacher.predict_logits(batch),
+                                     delta=config.distill_delta)
+            loss.backward()
+            clip_grad_norm(student.parameters(), config.grad_clip)
+            optimizer.step()
+    student.eval()

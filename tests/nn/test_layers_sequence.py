@@ -8,7 +8,8 @@ import pytest
 from repro.nn.layers.attention import MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer
 from repro.nn.layers.pooling import AttentiveLayerSum, AttentiveTimePool, LastStepPool, MaskedMeanPool
 from repro.nn.layers.recurrent import LSTM, LSTMCell
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad, stack
+from test_tensor import numerical_grad
 
 
 @pytest.fixture
@@ -51,6 +52,122 @@ class TestLSTM:
     def test_flops_scale_with_length(self, rng):
         lstm = LSTM(4, 4, num_layers=2, rng=rng)
         assert lstm.flops(32) == 2 * lstm.flops(16)
+
+
+def stepped_lstm(lstm, x):
+    """Reference: step each layer's ``LSTMCell`` over the sequence, one op graph per step."""
+    batch, seq_len, _ = x.shape
+    layer_input = [x[:, t, :] for t in range(seq_len)]
+    final_states = []
+    for cell in lstm.cells:
+        h = Tensor(np.zeros((batch, lstm.hidden_size)))
+        c = Tensor(np.zeros((batch, lstm.hidden_size)))
+        outputs = []
+        for t in range(seq_len):
+            h, c = cell(layer_input[t], (h, c))
+            outputs.append(h)
+        layer_input = outputs
+        final_states.append((h, c))
+    return stack(layer_input, axis=1), final_states
+
+
+def lstm_loss(sequence, final_states, target, rng):
+    """A weighted sum of the chosen output: the sequence, or every layer's final h or c."""
+    if target == "sequence":
+        return (sequence * Tensor(rng.normal(size=sequence.shape))).sum()
+    index = {"h": 0, "c": 1}[target]
+    loss = None
+    for state in final_states:
+        term = (state[index] * Tensor(rng.normal(size=state[index].shape))).sum()
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def run_lstm(forward, lstm, x_data, target, seed=3):
+    """Forward with ``forward``, backprop the ``target`` loss; return outputs and gradients."""
+    lstm.zero_grad()
+    x = Tensor(x_data.copy(), requires_grad=True)
+    sequence, final_states = forward(lstm, x)
+    lstm_loss(sequence, final_states, target, np.random.default_rng(seed)).backward()
+    grads = {name: p.grad.copy() for name, p in lstm.named_parameters()}
+    return sequence, final_states, x.grad, grads
+
+
+class TestFusedLSTM:
+    """The fused whole-sequence node against the per-step ``LSTMCell`` reference."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_forward_bitwise_equal(self, num_layers):
+        lstm = LSTM(5, 6, num_layers=num_layers, rng=np.random.default_rng(num_layers))
+        x = Tensor(np.random.default_rng(4).normal(size=(4, 7, 5)), requires_grad=True)
+        sequence, final_states = lstm(x)
+        ref_sequence, ref_states = stepped_lstm(lstm, x)
+        assert np.array_equal(sequence.numpy(), ref_sequence.numpy())
+        for (h, c), (ref_h, ref_c) in zip(final_states, ref_states):
+            assert np.array_equal(h.numpy(), ref_h.numpy())
+            assert np.array_equal(c.numpy(), ref_c.numpy())
+
+    @pytest.mark.parametrize("target", ["sequence", "h", "c"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_gradients_match_stepped_cells(self, num_layers, target):
+        lstm = LSTM(5, 6, num_layers=num_layers, rng=np.random.default_rng(num_layers))
+        x_data = np.random.default_rng(4).normal(size=(4, 7, 5))
+        _, _, x_grad, grads = run_lstm(lambda m, x: m(x), lstm, x_data, target)
+        _, _, ref_x_grad, ref_grads = run_lstm(stepped_lstm, lstm, x_data, target)
+        np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        assert any(name.endswith("weight_ih") for name in grads)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_finite_difference(self):
+        lstm = LSTM(3, 2, num_layers=2, rng=np.random.default_rng(1))
+        x_data = np.random.default_rng(2).normal(size=(2, 3, 3))
+
+        def loss(x):
+            sequence, final_states = lstm(x)
+            return sum(lstm_loss(sequence, final_states, target, np.random.default_rng(3))
+                       for target in ("sequence", "h", "c"))
+
+        x = Tensor(x_data.copy(), requires_grad=True)
+        loss(x).backward()
+        numeric = numerical_grad(lambda arr: loss(Tensor(arr)).item(), x_data.copy())
+        np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
+        for name, param in lstm.named_parameters():
+            def param_loss(arr, param=param):
+                saved, param.data = param.data, arr
+                try:
+                    return loss(Tensor(x_data)).item()
+                finally:
+                    param.data = saved
+
+            numeric = numerical_grad(param_loss, param.data.copy())
+            np.testing.assert_allclose(param.grad, numeric, atol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["no_grad", "nothing_requires_grad"])
+    def test_no_graph_without_grad(self, mode):
+        lstm = LSTM(3, 4, num_layers=2, rng=np.random.default_rng(0))
+        x_data = np.random.default_rng(1).normal(size=(2, 5, 3))
+        if mode == "no_grad":
+            with no_grad():
+                sequence, final_states = lstm(Tensor(x_data, requires_grad=True))
+        else:
+            for param in lstm.parameters():
+                param.requires_grad = False
+            sequence, final_states = lstm(Tensor(x_data))
+        for out in [sequence] + [t for state in final_states for t in state]:
+            assert not out.requires_grad
+            assert out._prev == ()
+            assert out._backward.__closure__ is None  # the default no-op: nothing saved
+
+    def test_parameter_gradients_without_input_grad(self):
+        lstm = LSTM(3, 4, num_layers=2, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 3)))
+        sequence, _ = lstm(x)
+        sequence.sum().backward()
+        assert x.grad is None
+        for name, param in lstm.named_parameters():
+            assert param.grad is not None and np.abs(param.grad).sum() > 0, name
 
 
 class TestAttention:
