@@ -407,7 +407,6 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         storage=args.db if args.db != ":memory:" else None,
         recover=args.recover,
         edge=args.edge, edge_workers=args.edge_workers,
-        flush_interval=args.flush_interval,
         write_buffer_limit=args.write_buffer)
     if remote.recovery is not None:
         summary = remote.recovery
@@ -682,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--edge-workers", type=int, default=8,
                        help="async edge only: bounded worker pool for "
                             "control handlers and stream backfills "
-                            "(default: %(default)s)")
-    serve.add_argument("--flush-interval", type=float, default=0.005,
-                       help="async edge only: minimum seconds between two "
-                            "batched flushes of one event stream — raise to "
-                            "trade latency for bigger frames per send "
                             "(default: %(default)s)")
     serve.add_argument("--write-buffer", type=int, default=256 * 1024,
                        help="async edge only: per-connection cap in bytes on "

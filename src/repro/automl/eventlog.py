@@ -38,7 +38,8 @@ stronger machine-crash guarantee:
 
 * ``"always"`` — fsync after every append (safest, slowest);
 * ``"interval"`` (default) — fsync at most every ``fsync_interval`` seconds,
-  plus on segment rotation and close;
+  plus on segment rotation, on a job's terminal event (which also closes
+  the job's segment handle) and on close;
 * ``"never"`` — leave flushing to the OS.
 
 A torn final line (a crash mid-write) is tolerated on read: lines that fail
@@ -58,15 +59,22 @@ terminal event once the job ends — is never compacted away.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import Event, event_from_wire, event_wire_bytes
+from repro.automl.events import (
+    Event,
+    JobStateChanged,
+    event_from_wire,
+    event_wire_bytes,
+)
 
 __all__ = ["EventLog", "FSYNC_POLICIES"]
 
@@ -263,7 +271,10 @@ class EventLog:
         subscription), so by the time any queue consumer sees an event it is
         already flushed to the OS — a killed process loses nothing it
         delivered.  Rotation and compaction happen inline when the active
-        segment fills.
+        segment fills.  A job's terminal event also closes its segment (after
+        an fsync, policy permitting): a long-lived server holds open handles
+        only for jobs still running, and a later append (a recovered job)
+        reopens the newest segment.
 
         Args:
             event: a published event — ``job_id`` set and ``seq`` stamped.
@@ -282,7 +293,7 @@ class EventLog:
         # Shared wire bytes: the same buffer every stream subscriber ships,
         # serialised once per event (see events.event_wire_bytes).
         line = event_wire_bytes(event)
-        import time
+        terminal = isinstance(event, JobStateChanged) and event.terminal
         with self._lock:
             appender = self._appenders.get(job_id)
             if appender is None:
@@ -294,13 +305,16 @@ class EventLog:
             appender.size += len(line)
             appender.events += 1
             self.appended += 1
-            if self.fsync == "always":
-                self._fsync(appender)
+            if self.fsync == "always" or terminal:
+                self._fsync(appender)  # a no-op under "never"
             elif self.fsync == "interval":
                 now = time.monotonic()
                 if now - appender.last_fsync >= self.fsync_interval:
                     self._fsync(appender)
                     appender.last_fsync = now
+            if terminal:
+                appender.handle.close()
+                del self._appenders[job_id]
         _APPEND_SECONDS.observe(perf_counter() - append_start)
 
     def _open_appender(self, job_id: int) -> _Appender:
@@ -346,7 +360,6 @@ class EventLog:
     def _fsync(self, appender: _Appender) -> None:
         if appender.handle is None or self.fsync == "never":
             return
-        import os
         try:
             fsync_start = perf_counter()
             os.fsync(appender.handle.fileno())

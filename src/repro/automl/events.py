@@ -60,7 +60,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import (Callable, Deque, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.automl import metrics as _metrics
 
@@ -206,12 +207,35 @@ _QUEUE_DROPPED = _metrics.REGISTRY.counter(
     labels=("job",))
 
 
+#: Event class -> its dataclass fields, in declaration order: what a wire
+#: payload carries besides ``type``.
+_WIRE_FIELDS: Dict[type, Tuple[dataclasses.Field, ...]] = {
+    cls: dataclasses.fields(cls) for cls in EVENT_TYPES.values()
+}
+
+
+def _finish_wire(payload: Dict[str, object], name: str) -> Dict[str, object]:
+    """Finish a wire dict of field values: add ``type``, drop a null trace."""
+    payload["type"] = name
+    if payload["trace_id"] is None:
+        # Keep pre-trace payloads byte-identical: streams logged before the
+        # metrics plane existed (and documented NDJSON examples) round-trip
+        # without a spurious null field.
+        del payload["trace_id"]
+    return payload
+
+
 def event_to_wire(event: Event) -> Dict[str, object]:
     """Serialise an event into a JSON-compatible dict (``type`` + fields).
 
     The payload round-trips through :func:`event_from_wire`:
     ``event_from_wire(event_to_wire(e)) == e`` for every event type, so the
     remote layer can ship the exact in-process stream over HTTP.
+
+    The dict is built one level deep: nested values (``params``,
+    ``record``) are the event's own containers, not copies.  **The payload
+    is read-only** — mutating a nested value would mutate the frozen event
+    (and the wire bytes any later serialisation produces).
 
     Args:
         event: any :data:`Event` instance.
@@ -222,17 +246,12 @@ def event_to_wire(event: Event) -> Dict[str, object]:
     Raises:
         TypeError: for an object that is not a known event type.
     """
-    name = type(event).__name__
-    if EVENT_TYPES.get(name) is not type(event):
+    fields = _WIRE_FIELDS.get(type(event))
+    if fields is None:
         raise TypeError(f"not a known event type: {type(event)!r}")
-    payload = dataclasses.asdict(event)
-    payload["type"] = name
-    if payload.get("trace_id") is None:
-        # Keep pre-trace payloads byte-identical: streams logged before the
-        # metrics plane existed (and documented NDJSON examples) round-trip
-        # without a spurious null field.
-        payload.pop("trace_id", None)
-    return payload
+    values = event.__dict__
+    return _finish_wire({f.name: values[f.name] for f in fields},
+                  type(event).__name__)
 
 
 def event_wire_bytes(event: Event) -> bytes:
@@ -269,6 +288,39 @@ def event_wire_bytes(event: Event) -> bytes:
     return data
 
 
+def _wire_values(payload: object) -> Tuple[type, Dict[str, object]]:
+    """The event class a wire payload names, and its declared fields' values.
+
+    Keys the class does not declare are dropped (a newer server may add
+    fields; an older client must still parse the stream); an absent field
+    takes its declared default.
+
+    Raises:
+        ValueError: not a dict, missing/unknown ``type``, or a required
+            field missing.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"event payload must be a dict, got "
+                         f"{type(payload).__name__}")
+    name = payload.get("type")
+    cls = EVENT_TYPES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown event type {name!r}; expected one of "
+                         f"{sorted(EVENT_TYPES)}")
+    values: Dict[str, object] = {}
+    for f in _WIRE_FIELDS[cls]:
+        if f.name in payload:
+            values[f.name] = payload[f.name]
+        elif f.default is not dataclasses.MISSING:
+            values[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            values[f.name] = f.default_factory()
+        else:
+            raise ValueError(f"malformed {name} event payload: missing "
+                             f"required field {f.name!r}")
+    return cls, values
+
+
 def event_from_wire(payload: Dict[str, object]) -> Event:
     """Rebuild a typed event from its :func:`event_to_wire` dict.
 
@@ -286,19 +338,22 @@ def event_from_wire(payload: Dict[str, object]) -> Event:
     Raises:
         ValueError: missing/unknown ``type`` or missing required fields.
     """
-    if not isinstance(payload, dict):
-        raise ValueError(f"event payload must be a dict, got {type(payload).__name__}")
-    name = payload.get("type")
-    cls = EVENT_TYPES.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise ValueError(f"unknown event type {name!r}; expected one of "
-                         f"{sorted(EVENT_TYPES)}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {key: value for key, value in payload.items() if key in known}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"malformed {name} event payload: {exc}") from None
+    cls, values = _wire_values(payload)
+    return cls(**values)
+
+
+def _canonical_wire(payload: object) -> Dict[str, object]:
+    """``event_to_wire(event_from_wire(payload))``, without building the event.
+
+    A new dict holding exactly the keys the typed round trip emits, so a
+    relay can re-stamp it and serialise it once.  Nested values are shared
+    with ``payload``.
+
+    Raises:
+        ValueError: as :func:`event_from_wire`.
+    """
+    cls, values = _wire_values(payload)
+    return _finish_wire(values, cls.__name__)
 
 
 class Subscription:

@@ -293,31 +293,6 @@ class TrialExecutor:
         Returns:
             The number of reports mirrored by this call.
         """
-        # A legacy subclass may still override pump_telemetry (the hook's
-        # previous name): delegate so its telemetry keeps draining.
-        pump = type(self).pump_telemetry
-        if pump is not TrialExecutor.pump_telemetry:
-            return pump(self)
-        return 0
-
-    def pump_telemetry(self) -> int:
-        """Deprecated alias of :meth:`drain_telemetry` (kept from PR 3).
-
-        Works in both directions for direct extensions of this base class:
-        legacy *callers* of ``pump_telemetry`` reach a modern
-        ``drain_telemetry`` override, and legacy *overriders* of
-        ``pump_telemetry`` are still invoked by the base
-        ``drain_telemetry``.  Each base method only ever delegates to an
-        actual subclass override of the other name, so a legacy override
-        calling ``super().pump_telemetry()`` gets PR 3's base behaviour
-        (0) instead of recursing.  Caveat: a subclass of a *concrete*
-        executor (e.g. :class:`ProcessPoolTrialExecutor`) that overrides
-        only ``pump_telemetry`` is not reached by the parent's
-        ``drain_telemetry`` — augment ``drain_telemetry`` instead.
-        """
-        drain = type(self).drain_telemetry
-        if drain is not TrialExecutor.drain_telemetry:
-            return drain(self)
         return 0
 
     @property

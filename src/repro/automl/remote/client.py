@@ -56,7 +56,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.automl.events import Event, JobStateChanged, event_from_wire
+from repro.automl.events import Event, _canonical_wire, event_from_wire
 from repro.automl.remote.api import PROTOCOL_VERSION, trial_from_record
 from repro.automl.study import StudyConfig
 from repro.automl.trial import Trial
@@ -163,10 +163,13 @@ class AntTuneClient:
 
     @staticmethod
     def _to_error(exc: urllib.error.HTTPError) -> Exception:
+        """The exception an HTTP error answer raises; closes the answer."""
         try:
             message = json.loads(exc.read().decode("utf-8"))["error"]
         except Exception:  # noqa: BLE001 - non-JSON error body
             message = f"HTTP {exc.code}"
+        finally:
+            exc.close()
         if exc.code == 400:
             return ValueError(message)
         return TrialError(f"tune server refused the request "
@@ -364,6 +367,19 @@ class AntTuneClient:
             TrialError: unknown job, or the stream died (or kept skipping
                 seqs) and reconnection kept failing without progress.
         """
+        for wire in self._wire_stream(job_id, last_seq, max_queue):
+            yield event_from_wire(wire)
+
+    def _wire_stream(self, job_id: int, last_seq: int = -1,
+                     max_queue: int = 1024) -> Iterator[Dict[str, object]]:
+        """:meth:`subscribe`'s reconnect/replay loop, yielding wire dicts.
+
+        Each yielded dict is a fresh ``event_to_wire``-shaped payload the
+        caller owns: exactly the keys the typed event would serialise to
+        (undeclared extras dropped), checked as :func:`event_from_wire`
+        checks it, with an integer ``seq`` one past the previous one.  The
+        router relays these without building typed events.
+        """
         retries = 0
         while True:
             made_progress = False
@@ -385,19 +401,22 @@ class AntTuneClient:
                     line = line.strip()
                     if not line:
                         continue  # heartbeat
-                    event = event_from_wire(json.loads(line.decode("utf-8")))
-                    if event.seq <= last_seq:
+                    wire = _canonical_wire(json.loads(line.decode("utf-8")))
+                    seq = wire["seq"]
+                    if type(seq) is not int:
+                        raise ValueError(f"non-integer seq {seq!r}")
+                    if seq <= last_seq:
                         continue  # replay overlap after a reconnect
-                    if event.seq != last_seq + 1:
+                    if seq != last_seq + 1:
                         # Events went missing in transit: reconnect so the
                         # server backfills them from its durable log.
-                        failure = f"seqs {last_seq + 1}..{event.seq - 1} missing"
+                        failure = f"seqs {last_seq + 1}..{seq - 1} missing"
                         break
-                    last_seq = event.seq
+                    last_seq = seq
                     made_progress = True
                     retries = 0
-                    yield event
-                    if isinstance(event, JobStateChanged) and event.terminal:
+                    yield wire
+                    if wire["type"] == "JobStateChanged" and wire["terminal"]:
                         return
             except (OSError, ValueError) as exc:
                 # Connection died mid-stream (socket timeout, reset, or a

@@ -399,9 +399,6 @@ class AsyncHTTPEdge:
             docstring for the protocol).
         workers: bounded worker-pool size for control handlers and stream
             backfills.
-        flush_interval: minimum seconds between two batched flushes of the
-            same stream — raising it trades latency for larger frames per
-            send under load.
         write_buffer_limit: per-connection cap (bytes) on buffered unsent
             output; above it, backfills block (flow control) and live
             flushing pauses so the bounded frame queue takes over.
@@ -410,13 +407,12 @@ class AsyncHTTPEdge:
     """
 
     def __init__(self, address: Tuple[str, int], app: object, *,
-                 workers: int = 8, flush_interval: float = 0.005,
+                 workers: int = 8,
                  write_buffer_limit: int = 256 * 1024,
                  backlog: int = 1024, name: str = "anttune-edge") -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._app = app
-        self.flush_interval = max(0.0, float(flush_interval))
         self.write_buffer_limit = max(4096, int(write_buffer_limit))
         self._name = name
         self._listener = socket.create_server(address, backlog=backlog)

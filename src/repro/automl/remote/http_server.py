@@ -672,8 +672,6 @@ class RemoteTuneServer:
             ``ANTTUNE_EDGE`` environment variable when unset.
         edge_workers: async edge only — bounded worker pool for control
             handlers and stream backfills.
-        flush_interval: async edge only — minimum seconds between two
-            batched flushes of one stream (latency vs batch-size knob).
         write_buffer_limit: async edge only — per-connection cap (bytes) on
             buffered unsent output before backpressure engages.
         **server_kwargs: forwarded to :class:`AntTuneServer` when
@@ -693,7 +691,6 @@ class RemoteTuneServer:
                  recover: bool = False,
                  edge: Optional[str] = None,
                  edge_workers: int = 8,
-                 flush_interval: float = 0.005,
                  write_buffer_limit: int = 256 * 1024,
                  **server_kwargs: object) -> None:
         if edge is None:
@@ -737,7 +734,6 @@ class RemoteTuneServer:
             else:
                 self._edge = AsyncHTTPEdge(
                     (host, port), self.app, workers=edge_workers,
-                    flush_interval=flush_interval,
                     write_buffer_limit=write_buffer_limit,
                     name="anttune-edge")
         except OSError:

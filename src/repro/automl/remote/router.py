@@ -39,8 +39,8 @@ Only the stdlib is used, like everywhere else in the remote layer.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import hashlib
+import json
 import os
 import threading
 import uuid
@@ -57,7 +57,7 @@ from typing import (
 )
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import JobStateChanged, event_from_wire, event_to_wire
+from repro.automl.events import JobStateChanged, event_wire_bytes
 from repro.automl.remote.api import PROTOCOL_VERSION, ProtocolError
 from repro.automl.remote.client import AntTuneClient, _ServerUnreachable
 from repro.automl.remote import http_server as _http
@@ -172,10 +172,10 @@ class _Backend:
 class _RouterJob:
     """The router's authoritative record of one placed job.
 
-    ``journal`` holds re-stamped wire events where index == router seq, so
-    replay is a slice and gaplessness is structural; ``journal_bytes`` is
-    the same journal pre-serialised to NDJSON lines, shared by every
-    streaming connection (serialize once, fan out N times).  ``listeners``
+    ``journal_bytes`` holds the re-stamped events as NDJSON lines, where
+    index == router seq, so replay is a slice and gaplessness is
+    structural; every streaming connection shares the same line objects
+    (serialise once, fan out N times).  ``listeners``
     are the async edge's per-connection push callbacks, invoked under
     ``cond`` at append time.  ``incarnation`` counts (re)attachments to a
     backend; a relay thread carries the incarnation it was started under
@@ -193,7 +193,6 @@ class _RouterJob:
         self.backend_url = backend_url
         self.backend_job_id = backend_job_id
         self.cond = threading.Condition()
-        self.journal: List[Dict[str, object]] = []
         self.journal_bytes: List[bytes] = []
         self.listeners: List[Callable[[bytes, int, bool], None]] = []
         self.state = "queued"
@@ -400,30 +399,32 @@ class TuneRouter:
                incarnation: int, last_seq: int) -> None:
         """Copy one backend stream into the job's journal, re-stamped.
 
-        The SDK's ``subscribe`` already absorbs reconnects and ``last_seq``
-        replay (including across a ``serve --recover`` restart); this thread
-        only re-stamps and appends.  Any exit without a terminal event —
-        stream gave up, backend vanished, unknown job — hands the job to
+        The SDK's stream loop already absorbs reconnects, ``last_seq``
+        replay (including across a ``serve --recover`` restart) and seq
+        gaps, and checks every line as ``event_from_wire`` would; this
+        thread only re-stamps the wire dict and appends its one
+        serialisation.  Any exit without a terminal event — stream gave
+        up, backend vanished, unknown job — hands the job to
         :meth:`_heal_job` for reattachment or migration.
         """
         try:
-            for event in backend.client.subscribe(backend_job_id,
-                                                  last_seq=last_seq):
+            for wire in backend.client._wire_stream(backend_job_id,
+                                                    last_seq=last_seq):
+                state_change = wire["type"] == "JobStateChanged"
+                terminal = state_change and bool(wire["terminal"])
                 with job.cond:
                     if job.incarnation != incarnation or job.terminal:
                         return  # stale relay (migrated away, or finished)
-                    job.backend_last_seq = event.seq
-                    stamped = dataclasses.replace(
-                        event, job_id=job.job_id, seq=len(job.journal),
-                        trace_id=job.trace_id)
-                    terminal = (isinstance(event, JobStateChanged)
-                                and event.terminal)
-                    if isinstance(event, JobStateChanged):
-                        job.state = event.state
-                        job.error = event.error
-                        if event.terminal:
+                    job.backend_last_seq = wire["seq"]
+                    if state_change:
+                        job.state = wire["state"]
+                        job.error = wire["error"]
+                        if terminal:
                             job.terminal = True
-                    self._append_wire(job, event_to_wire(stamped), terminal)
+                    wire["job_id"] = job.job_id
+                    wire["seq"] = len(job.journal_bytes)
+                    wire["trace_id"] = job.trace_id
+                    self._append_line(job, _json_bytes(wire), terminal)
         except Exception:  # noqa: BLE001 - the stream is gone; heal below
             pass
         finally:
@@ -551,17 +552,13 @@ class TuneRouter:
         return True
 
     @staticmethod
-    def _append_wire(job: _RouterJob, wire: Dict[str, object],
-                     terminal: bool) -> None:
-        """Append one wire event to the journal (caller holds ``job.cond``).
+    def _append_line(job: _RouterJob, data: bytes, terminal: bool) -> None:
+        """Append one NDJSON line to the journal (caller holds ``job.cond``).
 
-        Serialises the line once into ``journal_bytes`` — the buffer every
-        streaming connection shares — pushes it to the async edge's
-        listeners, and wakes journal tailers.
+        The line is the buffer every streaming connection shares; it is
+        pushed to the async edge's listeners, and journal tailers wake.
         """
-        seq = len(job.journal)
-        data = _json_bytes(wire)
-        job.journal.append(wire)
+        seq = len(job.journal_bytes)
         job.journal_bytes.append(data)
         for listener in list(job.listeners):
             try:
@@ -578,12 +575,13 @@ class TuneRouter:
                 return
             job.incarnation += 1  # strand any live relay
             event = JobStateChanged(state=state, error=error, terminal=True,
-                                    job_id=job.job_id, seq=len(job.journal),
+                                    job_id=job.job_id,
+                                    seq=len(job.journal_bytes),
                                     trace_id=job.trace_id)
             job.state = state
             job.error = error
             job.terminal = True
-            self._append_wire(job, event_to_wire(event), True)
+            self._append_line(job, event_wire_bytes(event), True)
 
     # ------------------------------------------------------------------ #
     # Aggregated control surface (mirrors the backend API shapes)
@@ -610,7 +608,8 @@ class TuneRouter:
                 "finished": job.terminal, "study_name": job.study_name,
                 "trace_id": job.trace_id, "backend": job.backend_url,
                 "backend_job_id": job.backend_job_id,
-                "migrations": job.migrations, "events": len(job.journal),
+                "migrations": job.migrations,
+                "events": len(job.journal_bytes),
             }
             backend = self._backends.get(job.backend_url)
             backend_job_id = job.backend_job_id
@@ -672,15 +671,20 @@ class TuneRouter:
                 "best": self._best_from_journal(job)}
 
     def _best_from_journal(self, job: _RouterJob) -> Optional[Dict[str, object]]:
-        """Best completed trial record in the journal (last write per id)."""
+        """Best completed trial record in the journal (last write per id).
+
+        The fallback when the backend's own ``/wait`` cannot answer, so it
+        decodes the journal's lines here rather than keeping them decoded.
+        """
         config = job.body.get("config")
         maximize = True
         if isinstance(config, dict):
             maximize = bool(config.get("maximize", True))
         records: Dict[int, Dict[str, object]] = {}
         with job.cond:
-            journal = list(job.journal)
-        for wire in journal:
+            lines = list(job.journal_bytes)
+        for line in lines:
+            wire = json.loads(line)
             if wire.get("type") != "TrialFinished":
                 continue
             if wire.get("state") != "completed" or wire.get("value") is None:
@@ -757,19 +761,12 @@ class TuneRouter:
             parts.append(f"# backend {backend.url}\n{text}")
         return "".join(p if p.endswith("\n") else p + "\n" for p in parts)
 
-    def decoded_journal(self, job_id: int) -> List[object]:
-        """The job's journalled events as typed objects (for tests/tools)."""
-        job = self._job(job_id)
-        with job.cond:
-            journal = list(job.journal)
-        return [event_from_wire(wire) for wire in journal]
-
 
 class _RouterWaitParker:
     """A parked router ``/wait``: completed by the journal's terminal append.
 
     The continuation is a journal listener (fired under ``job.cond`` by
-    :meth:`TuneRouter._append_wire`); a job that went terminal before
+    :meth:`TuneRouter._append_line`); a job that went terminal before
     registration fires synchronously, so a finish racing the park is never
     lost.
     """
@@ -1013,11 +1010,12 @@ class _RouterApp:
             next_index = max(0, last_seq + 1)
             while True:
                 with job.cond:
-                    if next_index >= len(job.journal) and not job.terminal:
+                    if (next_index >= len(job.journal_bytes)
+                            and not job.terminal):
                         job.cond.wait(self.heartbeat_seconds)
                     batch = list(job.journal_bytes[next_index:])
                     done = job.terminal and \
-                        next_index + len(batch) >= len(job.journal)
+                        next_index + len(batch) >= len(job.journal_bytes)
                 for data in batch:
                     handler.wfile.write(data)
                 if batch:

@@ -164,6 +164,58 @@ class TuneJob:
         return self.study.best_trial
 
 
+class _StorageWriter:
+    """One job's storage writer: a thread handed only the events it persists.
+
+    A callback subscription, registered before the job's first event so it
+    observes the whole stream, runs on the publisher's thread and passes
+    just ``TrialFinished`` (a trial row) and ``JobStateChanged`` (the study
+    status) — two of the dozen or so events a trial publishes — into a
+    bounded queue, so the thread wakes only for rows it writes.  The queue
+    is an unregistered iterator :class:`Subscription`: past ``max_queue``
+    it sheds the oldest event (counted in the bus's drop tallies; the job's
+    final ``save_study`` backfills its row), so the publisher never blocks,
+    and it never sheds the terminal event.  The thread exits after the
+    terminal event, or once :meth:`close` ends the stream without one.
+
+    Best effort by design: the dispatcher's checkpoint/finalise path still
+    saves the authoritative study payload, so a dying storage here must
+    neither crash the writer nor mark the job failed.
+    """
+
+    def __init__(self, bus: EventBus, job_id: int, storage: StudyStorage,
+                 study_name: str, max_queue: int = 8192) -> None:
+        self._storage = storage
+        self._name = study_name
+        self._rows = Subscription(bus, job_id, max_queue, callback=None)
+        self._feed = bus.subscribe(job_id, callback=self._offer)
+        self.thread = threading.Thread(target=self._drain, daemon=True,
+                                       name=f"anttune-storage-{job_id}")
+        self.thread.start()
+
+    def _offer(self, event: Event) -> None:
+        if isinstance(event, (TrialFinished, JobStateChanged)):
+            self._rows._deliver(event)
+
+    def close(self) -> None:
+        """Detach from the bus; the thread ends after what is queued."""
+        self._feed.close()
+        self._rows.close()
+
+    def _drain(self) -> None:
+        for event in self._rows:
+            self._write(event)
+
+    def _write(self, event: Event) -> None:
+        try:
+            if isinstance(event, TrialFinished):
+                self._storage.record_trial(self._name, event.record)
+            else:
+                self._storage.set_status(self._name, event.state)
+        except Exception:  # noqa: BLE001 - keep draining to terminal
+            pass
+
+
 class AntTuneServer:
     """Non-blocking multi-job tune service on a shared worker pool.
 
@@ -202,7 +254,9 @@ class AntTuneServer:
         self.lease_seconds = lease_seconds
         self.scheduler = scheduler
         self.base_seed = base_seed
-        self.storage = (StudyStorage(storage) if isinstance(storage, str)
+        # Storage built here from a path is this server's to close.
+        self._owns_storage = isinstance(storage, str)
+        self.storage = (StudyStorage(storage) if self._owns_storage
                         else storage)
         self._jobs: Dict[int, TuneJob] = {}
         self._jobs_lock = threading.Lock()
@@ -221,9 +275,9 @@ class AntTuneServer:
         # server never silently upserts over studies a previous process
         # persisted under the same job ids.
         self._instance_id = uuid.uuid4().hex[:8]
-        # Background storage-writer threads, one per persisted job; joined by
+        # Background storage writers, one per persisted job; joined by
         # shutdown() so no trial rows are lost at close.
-        self._writers: List[threading.Thread] = []
+        self._writers: List[_StorageWriter] = []
         self._writers_lock = threading.Lock()
         self._executor: Optional[TrialExecutor] = None
         self._dispatcher: Optional[ThreadPoolExecutor] = None
@@ -458,9 +512,8 @@ class AntTuneServer:
             # Trial history persists off the event stream: terminal trials
             # land as rows shortly after their TrialFinished event publishes,
             # between (and independent of) full payload checkpoints.  The
-            # writer is a background thread draining an iterator
-            # subscription, so storage commits never run on (or block) the
-            # publisher's thread.
+            # writer is a background thread, so storage commits never run on
+            # (or block) the publisher's thread.
             self._start_storage_writer(job)
             try:
                 self.storage.save_study(job.study_name, study,
@@ -517,43 +570,19 @@ class AntTuneServer:
             job_id=job.job_id, trace_id=job.trace_id))
 
     def _start_storage_writer(self, job: TuneJob) -> None:
-        """Persist this job's event stream from a background writer thread.
+        """Persist this job's event stream from a :class:`_StorageWriter`.
 
-        The writer drains an iterator subscription (subscribed before the
-        job's first event publishes, so it observes the whole stream) and
-        exits when the terminal event arrives — every lifecycle path
-        publishes one, so the thread never leaks.  :meth:`shutdown` joins the
-        writers, flushing any still-queued rows before the server closes.
-
-        Best effort by design: the dispatcher's checkpoint/finalise path
-        still saves the authoritative study payload, so a dying storage here
-        must neither crash the writer nor mark the job failed — and the
-        publisher's thread is never involved at all.  The subscription queue
-        is wide (8192 events) and only TrialFinished/JobStateChanged touch
-        storage; should an extreme burst still shed rows, the final
-        ``save_study`` backfills them.
+        Every lifecycle path publishes a terminal event, so the writer
+        thread never leaks; :meth:`shutdown` joins the writers, flushing any
+        still-queued rows before the server closes.
         """
-        subscription = self._bus.subscribe(job.job_id, max_queue=8192)
-        storage, name = self.storage, job.study_name
-
-        def drain() -> None:
-            for event in subscription:
-                try:
-                    if isinstance(event, TrialFinished):
-                        storage.record_trial(name, event.record)
-                    elif isinstance(event, JobStateChanged):
-                        storage.set_status(name, event.state)
-                except Exception:  # noqa: BLE001 - keep draining to terminal
-                    pass
-
-        thread = threading.Thread(target=drain, daemon=True,
-                                  name=f"anttune-storage-{job.job_id}")
+        writer = _StorageWriter(self._bus, job.job_id, self.storage,
+                                job.study_name)
         with self._writers_lock:
             # Finished jobs' writers have exited: prune them here so a
-            # long-lived server doesn't accumulate one dead Thread per job.
-            self._writers = [t for t in self._writers if t.is_alive()]
-            self._writers.append(thread)
-        thread.start()
+            # long-lived server doesn't accumulate one dead writer per job.
+            self._writers = [w for w in self._writers if w.thread.is_alive()]
+            self._writers.append(writer)
 
     def subscribe(self, job_id: int,
                   callback: Optional[Callable[[Event], None]] = None,
@@ -1299,7 +1328,9 @@ class AntTuneServer:
 
         With ``wait=True`` (default) queued and running jobs drain on the
         existing pool first; the pool is released only afterwards, and no new
-        pool can be created once the server is closed.
+        pool can be created once the server is closed.  Storage the server
+        built itself from a path (its SQLite connection and event-log
+        segments) is closed last, once no job is left running.
 
         Args:
             wait: block until in-flight jobs drain before closing the pool.
@@ -1327,16 +1358,25 @@ class AntTuneServer:
         # Flush-on-close: every finished job's terminal event has published
         # by now (the dispatcher drained above), so its storage writer is
         # finishing its last commits — join them so no trial rows are lost.
-        # The timeout only bounds a wedged storage; writers are daemons.
+        # Closing first ends a writer whose job is still running (wait=False)
+        # once it wrote what is queued; behind a terminal it is a no-op.  The
+        # timeout only bounds a wedged storage; writers are daemons.
         with self._writers_lock:
             writers, self._writers = self._writers, []
-        for thread in writers:
-            thread.join(timeout=10.0 if wait else 0.25)
-        log = self.event_log
-        if log is not None:
+        for writer in writers:
+            writer.close()
+        for writer in writers:
+            writer.thread.join(timeout=10.0 if wait else 0.25)
+        with self._jobs_lock:
+            running = any(not job._done.is_set()
+                          for job in self._jobs.values())
+        if self._owns_storage and not running:
+            # Flushes, fsyncs and closes the event log's segments too.
+            self.storage.close()
+        elif self.event_log is not None:
             # Everything published above is already flushed per append; this
             # settles the stronger fsync durability before the process exits.
-            log.flush()
+            self.event_log.flush()
 
     def __enter__(self) -> "AntTuneServer":
         return self

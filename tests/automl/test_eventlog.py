@@ -205,6 +205,37 @@ class TestDurability:
             handle.write(b'{"type": "TrialReport", "trial_id')  # torn write
         assert list(log.read(1)) == complete
         assert log.last_event(1) == complete[-1]
+        log.close()  # no terminal event closed the segment
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_terminal_event_closes_the_segment(self, tmp_path, policy):
+        log = EventLog(str(tmp_path / policy), fsync=policy,
+                       fsync_interval=3600.0)
+        log.open_job(1, "s")
+        bus = publish_stream(log, 1, terminal=None)
+        handle = log._appenders[1].handle
+        fsyncs = log.stats()["fsyncs"]
+        bus.publish(JobStateChanged(state="completed", terminal=True,
+                                    job_id=1))
+        assert handle.closed and 1 not in log._appenders
+        # Durable before the handle goes (nothing left for close() to do).
+        assert log.stats()["fsyncs"] == fsyncs + (policy != "never")
+        assert log.last_event(1).terminal
+        log.close()
+
+    def test_append_after_terminal_reopens_the_newest_segment(self,
+                                                             tmp_path):
+        log = make_log(tmp_path)
+        log.open_job(1, "s")
+        publish_stream(log, 1)
+        last = log.last_seq(1)
+        assert log._appenders == {}
+        # A recovered job publishes on past its logged terminal.
+        log.append(JobStateChanged(state="running", job_id=1, seq=last + 1))
+        segments = sorted((tmp_path / "events" / "job-1").glob("*.ndjson"))
+        assert len(segments) == 1
+        assert [e.seq for e in log.read(1)] == list(range(last + 2))
+        log.close()
 
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_fsync_policies_all_append(self, tmp_path, policy):

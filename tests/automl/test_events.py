@@ -4,6 +4,9 @@ preemption (``submit(..., preempt=True)``)."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import threading
 import time
 
@@ -27,10 +30,22 @@ from repro.automl import (
     TrialStarted,
     make_executor,
 )
+from repro.automl.eventlog import EventLog
+from repro.automl.events import (
+    _canonical_wire,
+    event_from_wire,
+    event_to_wire,
+    event_wire_bytes,
+)
 from repro.automl.scheduler import AsyncScheduler
 from repro.automl.search_space import SearchSpace, Uniform
 from repro.automl.trial import KILL_PREEMPTED, TrialState
 from repro.exceptions import TrialError
+from wire_reference import (
+    reference_event_from_wire,
+    reference_event_to_wire,
+    reference_line,
+)
 
 
 @pytest.fixture
@@ -118,41 +133,6 @@ class TestEventBus:
         assert [type(e).__name__ for e in retained] == ["TrialStarted",
                                                         "JobStateChanged"]
 
-    def test_legacy_pump_telemetry_override_still_drains(self):
-        # PR 3 subclasses overrode pump_telemetry; the renamed hook must keep
-        # calling them (both alias directions work).
-        from repro.automl import TrialExecutor
-
-        class LegacyExecutor(TrialExecutor):
-            pumped = 0
-
-            def pump_telemetry(self):
-                self.pumped += 1
-                return 7
-
-        legacy = LegacyExecutor()
-        assert legacy.drain_telemetry() == 7  # new callers reach the old hook
-        assert legacy.pump_telemetry() == 7
-        assert legacy.pumped == 2
-
-        class Modern(TrialExecutor):
-            def drain_telemetry(self):
-                return 3
-
-        assert Modern().pump_telemetry() == 3  # old callers reach new hook
-        assert TrialExecutor().drain_telemetry() == 0  # no recursion
-
-        class LegacySuperCaller(TrialExecutor):
-            # The PR 3 extension pattern: augment the (then 0-returning)
-            # base.  super().pump_telemetry() must not recurse through the
-            # alias shim.
-            def pump_telemetry(self):
-                return super().pump_telemetry() + 5
-
-        caller = LegacySuperCaller()
-        assert caller.pump_telemetry() == 5
-        assert caller.drain_telemetry() == 5
-
     def test_bounded_queue_sheds_oldest_but_keeps_terminal(self):
         bus = EventBus()
         sub = bus.subscribe(1, max_queue=4)
@@ -239,6 +219,102 @@ class TestEventBus:
         expected = list(range(total + 1))  # reports + terminal, seq 0..N
         for seqs in received:
             assert seqs == expected
+
+
+# ----------------------------------------------------------------------- #
+# Wire payload
+# ----------------------------------------------------------------------- #
+_RECORD = {"trial_id": 4, "state": "completed", "value": float("nan"),
+           "params": {"x": 0.25, "layers": [64, 32], "opt": {"lr": 1e-3}},
+           "intermediate_values": [0.5, float("nan"), float("inf")],
+           "worker": "worker-1", "error": None}
+
+#: Every event type, nested containers and NaN included, with and without
+#: a trace id.
+WIRE_EVENTS = [
+    event
+    for trace in ("trace-7", None)
+    for event in (
+        TrialStarted(trial_id=4, params={"x": 0.25, "layers": [64, 32],
+                                         "opt": {"lr": 1e-3}},
+                     worker="worker-1", job_id=7, seq=0, trace_id=trace),
+        TrialReport(trial_id=4, step=3, value=float("nan"), job_id=7, seq=1,
+                    trace_id=trace),
+        TrialKilled(trial_id=4, reason="pruned", job_id=7, seq=2,
+                    trace_id=trace),
+        TrialFinished(trial_id=4, state="completed", value=float("nan"),
+                      record=_RECORD, job_id=7, seq=3, trace_id=trace),
+        JobStateChanged(state="failed", error="boom", terminal=True,
+                        job_id=7, seq=4, trace_id=trace),
+    )
+]
+WIRE_IDS = [f"{type(e).__name__}-{'traced' if e.trace_id else 'untraced'}"
+            for e in WIRE_EVENTS]
+
+
+def _json_equal(a, b):
+    """Deep equality where NaN equals NaN (json text comparison)."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestWirePayload:
+    """The shallow wire payload is the asdict payload, byte for byte."""
+
+    @pytest.mark.parametrize("event", WIRE_EVENTS, ids=WIRE_IDS)
+    def test_payload_matches_asdict_reference(self, event):
+        wire = event_to_wire(event)
+        reference = reference_event_to_wire(event)
+        assert sorted(wire) == sorted(reference)
+        assert _json_equal(wire, reference)
+        assert ("trace_id" in wire) is (event.trace_id is not None)
+
+    @pytest.mark.parametrize("event", WIRE_EVENTS, ids=WIRE_IDS)
+    def test_wire_bytes_match_asdict_reference(self, event):
+        assert event_wire_bytes(event) == reference_line(event)
+        # The cached buffer is the one every later caller gets.
+        assert event_wire_bytes(event) is event_wire_bytes(event)
+
+    def test_payload_is_shallow_and_leaves_the_event_intact(self):
+        event = WIRE_EVENTS[3]
+        wire = event_to_wire(event)
+        assert wire["record"] is event.record  # shared, not copied
+        json.dumps(wire, sort_keys=True)
+        assert math.isnan(event.record["value"])
+        assert event.record["params"] == {"x": 0.25, "layers": [64, 32],
+                                          "opt": {"lr": 1e-3}}
+
+    def test_event_log_lines_match_asdict_reference(self, tmp_path):
+        log = EventLog(str(tmp_path / "events"))
+        events = [dataclasses.replace(e, seq=i)
+                  for i, e in enumerate(WIRE_EVENTS[:4] + WIRE_EVENTS[-1:])]
+        for event in events:
+            log.append(event)
+        segment = sorted((tmp_path / "events" / "job-7").glob("*.ndjson"))[-1]
+        assert segment.read_bytes() == b"".join(map(reference_line, events))
+
+    @pytest.mark.parametrize("event", WIRE_EVENTS, ids=WIRE_IDS)
+    def test_canonical_wire_is_the_typed_round_trip(self, event):
+        line = json.loads(event_wire_bytes(event))
+        line["added_by_a_newer_server"] = [1, 2]
+        canonical = _canonical_wire(line)
+        assert "added_by_a_newer_server" not in canonical
+        assert _json_equal(
+            canonical, reference_event_to_wire(reference_event_from_wire(line)))
+
+    def test_canonical_wire_fills_defaults_like_the_typed_path(self):
+        sparse = {"type": "TrialStarted", "trial_id": 1, "seq": 0}
+        assert _canonical_wire(sparse) == reference_event_to_wire(
+            reference_event_from_wire(sparse))
+        assert _canonical_wire(sparse)["params"] == {}
+
+    def test_canonical_wire_rejects_what_event_from_wire_rejects(self):
+        for bad in ({"type": "Nope", "trial_id": 1}, {"trial_id": 1},
+                    ["TrialReport"], {"type": "TrialStarted"},
+                    {"type": "JobStateChanged", "seq": 3}):
+            for parse in (reference_event_from_wire, event_from_wire,
+                          _canonical_wire):
+                with pytest.raises(ValueError):
+                    parse(bad)
 
 
 # ----------------------------------------------------------------------- #

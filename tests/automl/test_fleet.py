@@ -17,6 +17,7 @@ seq streams and no lost or double-charged trials.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
@@ -34,15 +35,28 @@ from fleet_harness import (
     wait_for_health,
 )
 from repro.automl import cli
-from repro.automl.events import TrialFinished
+from repro.automl.events import (
+    JobStateChanged,
+    TrialFinished,
+    TrialKilled,
+    TrialReport,
+    TrialStarted,
+    event_wire_bytes,
+)
 from repro.automl.executors import make_executor
 from repro.automl.remote.client import AntTuneClient, _reconnect_delay
 from repro.automl.remote.http_server import RemoteTuneServer
-from repro.automl.remote.router import HashRing, RemoteRouterServer
+from repro.automl.remote.router import (
+    HashRing,
+    RemoteRouterServer,
+    TuneRouter,
+    _RouterJob,
+)
 from repro.automl.remote.tickets import TicketTrialExecutor
 from repro.automl.remote.worker import TuneWorker
 from repro.automl.trial import KILL_CANCELLED, KILL_PREEMPTED, Trial, TrialState
 from repro.exceptions import TrialError
+from wire_reference import reference_relay_line
 
 
 @pytest.fixture
@@ -503,6 +517,123 @@ class TestRouterSurface:
             client.poll(999)
         with pytest.raises(TrialError, match="unknown job"):
             client.cancel(999)
+
+
+# --------------------------------------------------------------------- #
+# Router relay: wire dicts re-stamped, one byte journal
+# --------------------------------------------------------------------- #
+#: A backend's stream for its job 5: every event type, nested values, NaN.
+BACKEND_STREAM = [
+    JobStateChanged(state="queued", job_id=5, seq=0, trace_id="trace-b"),
+    JobStateChanged(state="running", job_id=5, seq=1, trace_id="trace-b"),
+    TrialStarted(trial_id=0, params={"x": 0.5, "opt": {"lr": [1e-3, 2]}},
+                 worker="worker-0", job_id=5, seq=2, trace_id="trace-b"),
+    TrialReport(trial_id=0, step=0, value=float("nan"), job_id=5, seq=3,
+                trace_id="trace-b"),
+    TrialKilled(trial_id=0, reason="pruned", job_id=5, seq=4),
+    TrialFinished(trial_id=0, state="pruned", value=None,
+                  record={"trial_id": 0, "params": {"x": 0.5}, "value": None,
+                          "intermediate_values": [float("nan")]},
+                  job_id=5, seq=5, trace_id="trace-b"),
+    JobStateChanged(state="completed", terminal=True, job_id=5, seq=6,
+                    trace_id="trace-b"),
+]
+BACKEND_LINES = [event_wire_bytes(e) for e in BACKEND_STREAM]
+
+
+class _CannedStream:
+    """A backend event stream served from fixed NDJSON lines."""
+
+    def __init__(self, lines):
+        self._lines = list(lines)
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def close(self):
+        pass
+
+
+def _with_key(line, key, value):
+    payload = json.loads(line)
+    payload[key] = value
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _without_key(line, key):
+    payload = json.loads(line)
+    del payload[key]
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestRouterRelay:
+    """The relay re-stamps wire dicts; its journal is the typed path's."""
+
+    URL = "http://127.0.0.1:9"  # never contacted: streams are injected
+
+    def _relay(self, monkeypatch, connections):
+        """Run one relay over canned backend connections; return the job."""
+        router = TuneRouter([self.URL])
+        backend = router._backends[self.URL]
+        job = _RouterJob(7, "relay-study", "trace-r", "submit", {}, self.URL,
+                         5)
+        opened = []
+
+        def canned_open(job_id, last_seq, max_queue):
+            opened.append(last_seq)
+            return _CannedStream(connections[len(opened) - 1])
+
+        monkeypatch.setattr(backend.client, "_open_stream", canned_open)
+        router._relay(job, backend, 5, incarnation=0, last_seq=-1)
+        return job, opened
+
+    @staticmethod
+    def _typed_journal(lines):
+        return [reference_relay_line(line, 7, seq, "trace-r")
+                for seq, line in enumerate(lines)]
+
+    def test_journal_lines_are_the_typed_path_bytes(self, monkeypatch):
+        lines = list(BACKEND_LINES)
+        # A newer backend's extra key is dropped, as the typed path drops it.
+        lines[3] = _with_key(lines[3], "added_by_a_newer_backend", {"k": 1})
+        job, opened = self._relay(monkeypatch, [lines])
+        assert opened == [-1]
+        assert job.journal_bytes == self._typed_journal(BACKEND_LINES)
+        assert b"added_by_a_newer_backend" not in b"".join(job.journal_bytes)
+        assert job.terminal and job.state == "completed"
+        assert job.backend_last_seq == 6
+
+    def test_bad_lines_and_gaps_reconnect_from_the_last_seq(self,
+                                                             monkeypatch):
+        lines = BACKEND_LINES
+        connections = [
+            # An unknown event type after seq 0.
+            lines[:1] + [_with_key(lines[1], "type", "TrialExploded")],
+            # Overlap replay, then seq 1, then a required field missing.
+            lines[:2] + [_without_key(lines[2], "trial_id")],
+            # seq 2, then a non-integer seq.
+            lines[2:3] + [_with_key(lines[3], "seq", "3")],
+            # seq 3, then a gap: 4 is missing.
+            lines[3:4] + lines[5:],
+            # The backfill heals it.
+            lines[4:],
+        ]
+        job, opened = self._relay(monkeypatch, connections)
+        assert opened == [-1, 0, 1, 2, 3]
+        assert job.journal_bytes == self._typed_journal(BACKEND_LINES)
+        assert job.terminal
+
+    def test_best_from_journal_decodes_the_lines(self, monkeypatch):
+        finished = TrialFinished(trial_id=1, state="completed", value=0.9,
+                                 record={"trial_id": 1, "value": 0.9},
+                                 job_id=5, seq=6, trace_id="trace-b")
+        terminal = JobStateChanged(state="completed", terminal=True, job_id=5,
+                                   seq=7, trace_id="trace-b")
+        lines = BACKEND_LINES[:6] + [event_wire_bytes(finished),
+                                     event_wire_bytes(terminal)]
+        job, _ = self._relay(monkeypatch, [lines])
+        router = TuneRouter([self.URL])
+        assert router._best_from_journal(job) == {"trial_id": 1, "value": 0.9}
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ mid-stream disconnect, and concurrent SDK clients share one server.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import textwrap
@@ -267,10 +268,12 @@ class TestHttpEndpoints:
             post("/v1/jobs", b"{not json")
         assert err.value.code == 400
         assert "not valid JSON" in json.loads(err.value.read())["error"]
+        err.value.close()  # each error answer holds its connection open
         # No body at all.
         with pytest.raises(urllib.error.HTTPError) as err:
             post("/v1/jobs", b"")
         assert err.value.code == 400
+        err.value.close()
         # Unimportable reference.
         with pytest.raises(ValueError, match="cannot import"):
             client.submit("missing_module:SPACE",
@@ -279,16 +282,19 @@ class TestHttpEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url + "/v1/nope", timeout=5.0)
         assert err.value.code == 404
+        err.value.close()
         with pytest.raises(TrialError, match="unknown job"):
             client.poll(12345)
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url + "/v1/jobs/abc", timeout=5.0)
         assert err.value.code == 404
+        err.value.close()
         # Bad query parameter types.
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url + "/v1/jobs/0/events?last_seq=x",
                                    timeout=5.0)
         assert err.value.code == 400
+        err.value.close()
         # The server survived all of that.
         job_id = client.submit(f"{helper_module}:SPACE",
                                f"{helper_module}:objective",
@@ -313,6 +319,18 @@ class TestHttpEndpoints:
         finally:
             remote_wire_helper.RELEASE.set()
         client.wait(job_id, timeout=30.0)
+
+    @pytest.mark.parametrize("body, code, expected", [
+        (b'{"error": "unknown job id 3"}', 404, TrialError),
+        (b"<html>bad gateway</html>", 502, TrialError),
+        (b'{"error": "bad body"}', 400, ValueError),
+    ])
+    def test_sdk_closes_error_answers(self, body, code, expected):
+        answer = io.BytesIO(body)
+        error = urllib.error.HTTPError("http://x/v1", code, "error", {},
+                                       answer)
+        assert isinstance(AntTuneClient._to_error(error), expected)
+        assert answer.closed  # the connection is released, not left to gc
 
     def test_bearer_auth(self, helper_module):
         with RemoteTuneServer(num_workers=1, backend="thread",

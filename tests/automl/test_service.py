@@ -3,6 +3,8 @@ per-job seeds, fault isolation and persistence/resume."""
 
 from __future__ import annotations
 
+import os
+import sqlite3
 import threading
 import time
 
@@ -18,7 +20,15 @@ from repro.automl import (
     StudyConfig,
     StudyStorage,
 )
+from repro.automl.events import (
+    EventBus,
+    JobStateChanged,
+    TrialFinished,
+    TrialReport,
+    TrialStarted,
+)
 from repro.automl.search_space import SearchSpace, Uniform
+from repro.automl.server import _StorageWriter
 from repro.automl.trial import PrunedTrial, TrialState
 from repro.exceptions import TrialError
 
@@ -549,3 +559,203 @@ class TestStorageWriterThread:
             listed = {row["name"]: row for row in storage.list_studies()}
             assert listed["queued-study"]["status"] == "cancelled"
             assert listed["running-study"]["status"] == "completed"
+
+
+def _reporting(reports):
+    def objective(trial):
+        for step in range(reports):
+            trial.report(float(step))
+        return trial.params["x"]
+    return objective
+
+
+class _RecordingStorage:
+    """Stands in for StudyStorage: records the writer's calls in order."""
+
+    def __init__(self, gate=None):
+        self.calls = []
+        self._gate = gate
+        self.entered = threading.Event()
+
+    def record_trial(self, name, record):
+        self.entered.set()
+        if self._gate is not None:
+            assert self._gate.wait(10.0)
+        self.calls.append(("record_trial", name, record["trial_id"]))
+
+    def set_status(self, name, status):
+        self.calls.append(("set_status", name, status))
+
+
+def _reference_writer(bus, job_id, storage, name):
+    """The writer as it was: a thread draining an 8192-deep iterator
+    subscription, woken for every event, writing two kinds of them."""
+    subscription = bus.subscribe(job_id, max_queue=8192)
+
+    def drain():
+        for event in subscription:
+            if isinstance(event, TrialFinished):
+                storage.record_trial(name, event.record)
+            elif isinstance(event, JobStateChanged):
+                storage.set_status(name, event.state)
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    return thread
+
+
+def _publish_job(bus, job_id, trials, reports):
+    bus.publish(JobStateChanged(state="queued", job_id=job_id))
+    bus.publish(JobStateChanged(state="running", job_id=job_id))
+    for trial_id in range(trials):
+        bus.publish(TrialStarted(trial_id=trial_id, job_id=job_id))
+        for step in range(reports):
+            bus.publish(TrialReport(trial_id=trial_id, step=step,
+                                    job_id=job_id))
+        bus.publish(TrialFinished(trial_id=trial_id,
+                                  record={"trial_id": trial_id},
+                                  job_id=job_id))
+    bus.publish(JobStateChanged(state="completed", terminal=True,
+                                job_id=job_id))
+
+
+class TestStorageWriterHandoff:
+    """The writer thread is handed only the events it persists."""
+
+    def test_writes_what_the_iterator_writer_wrote(self):
+        bus = EventBus()
+        reference, changed = _RecordingStorage(), _RecordingStorage()
+        thread = _reference_writer(bus, 1, reference, "s")
+        writer = _StorageWriter(bus, 1, changed, "s")
+        _publish_job(bus, 1, trials=3, reports=10)
+        thread.join(10.0)
+        writer.thread.join(10.0)
+        assert not thread.is_alive() and not writer.thread.is_alive()
+        assert changed.calls == reference.calls
+        assert len(changed.calls) == 3 + 3  # rows + queued/running/completed
+
+    def test_one_item_per_row_and_state_on_a_server(self, space, tmp_path,
+                                                    monkeypatch):
+        handed = []
+        original = _StorageWriter._write
+
+        def counting_write(writer, event):
+            handed.append(event)
+            original(writer, event)
+
+        monkeypatch.setattr(_StorageWriter, "_write", counting_write)
+        path = str(tmp_path / "handoff.db")
+        server = AntTuneServer(num_workers=2, backend="thread", storage=path)
+        try:
+            job_id = server.submit(space, _reporting(6),
+                                   config=StudyConfig(n_trials=4),
+                                   study_name="handoff")
+            server.wait(job_id, timeout=10.0)
+            stream = list(server.subscribe(job_id))
+            writers = list(server._writers)
+        finally:
+            server.shutdown()
+        assert all(not w.thread.is_alive() for w in writers)
+        persisted = [e for e in stream
+                     if isinstance(e, (TrialFinished, JobStateChanged))]
+        assert sum(isinstance(e, TrialReport) for e in stream) == 4 * 6
+        assert [e.seq for e in handed] == [e.seq for e in persisted]
+        assert sum(isinstance(e, TrialFinished) for e in handed) == 4
+        with StudyStorage(path) as storage:
+            row = {r["name"]: r for r in storage.list_studies()}["handoff"]
+            assert row["status"] == "completed"
+            assert row["num_trials"] == 4
+
+    def test_bounded_queue_never_blocks_the_publisher(self):
+        gate = threading.Event()
+        storage = _RecordingStorage(gate)
+        bus = EventBus()
+        writer = _StorageWriter(bus, 1, storage, "s", max_queue=2)
+        bus.publish(TrialFinished(trial_id=0, record={"trial_id": 0},
+                                  job_id=1))
+        assert storage.entered.wait(10.0)  # the writer holds row 0
+        for trial_id in range(1, 6):
+            bus.publish(TrialFinished(trial_id=trial_id,
+                                      record={"trial_id": trial_id},
+                                      job_id=1))
+        bus.publish(JobStateChanged(state="completed", terminal=True,
+                                    job_id=1))
+        assert bus.dropped(1) == 4  # rows 1..4 shed; row 5 and terminal kept
+        gate.set()
+        writer.thread.join(10.0)
+        assert not writer.thread.is_alive()
+        assert storage.calls == [("record_trial", "s", 0),
+                                 ("record_trial", "s", 5),
+                                 ("set_status", "s", "completed")]
+
+    def test_close_without_terminal_ends_the_writer(self):
+        storage = _RecordingStorage()
+        bus = EventBus()
+        writer = _StorageWriter(bus, 1, storage, "s")
+        bus.publish(TrialReport(trial_id=0, job_id=1))
+        bus.publish(TrialFinished(trial_id=0, record={"trial_id": 0},
+                                  job_id=1))
+        writer.close()
+        writer.thread.join(10.0)
+        assert not writer.thread.is_alive()
+        assert storage.calls == [("record_trial", "s", 0)]
+        bus.publish(TrialFinished(trial_id=1, record={"trial_id": 1},
+                                  job_id=1))  # detached: not handed over
+        assert storage.calls == [("record_trial", "s", 0)]
+
+
+def _open_paths_under(root):
+    """Paths under ``root`` this process holds open (Linux /proc), or None."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        return None
+    paths = []
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:
+            continue  # closed while listing
+        if target.startswith(str(root)):
+            paths.append(target)
+    return paths
+
+
+class TestResourceRelease:
+    def test_finished_jobs_hold_no_segment_handles(self, space, tmp_path):
+        path = str(tmp_path / "many.db")
+        server = AntTuneServer(num_workers=4, max_concurrent_jobs=4,
+                               backend="thread", storage=path)
+        try:
+            jobs = [server.submit(space, _reporting(2),
+                                  config=StudyConfig(n_trials=2),
+                                  study_name=f"many-{i}")
+                    for i in range(24)]
+            for job_id in jobs:
+                server.wait(job_id, timeout=30.0)
+            log = server.event_log
+            assert log._appenders == {}
+            assert _open_paths_under(log.root) in ([], None)
+            assert all(log.last_event(job_id).terminal for job_id in jobs)
+        finally:
+            server.shutdown()
+
+    def test_shutdown_closes_storage_it_built(self, space, tmp_path):
+        path = str(tmp_path / "owned.db")
+        server = AntTuneServer(num_workers=1, backend="thread", storage=path)
+        job_id = server.submit(space, lambda t: t.params["x"],
+                               config=StudyConfig(n_trials=1))
+        server.wait(job_id, timeout=10.0)
+        server.shutdown()
+        with pytest.raises(sqlite3.ProgrammingError):
+            server.storage.list_studies()
+        server.shutdown()  # idempotent
+
+    def test_shutdown_leaves_callers_storage_open(self, space, tmp_path):
+        with StudyStorage(str(tmp_path / "shared.db")) as storage:
+            with AntTuneServer(num_workers=1, backend="thread",
+                               storage=storage) as server:
+                job_id = server.submit(space, lambda t: t.params["x"],
+                                       config=StudyConfig(n_trials=1),
+                                       study_name="shared")
+                server.wait(job_id, timeout=10.0)
+            assert storage.study_status("shared") == "completed"

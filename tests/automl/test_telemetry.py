@@ -127,7 +127,7 @@ class TestMidTrialPruning:
         assert elapsed < 5.0
 
     def test_process_backend_intermediates_visible_mid_run(self, space):
-        # pump_telemetry mirrors streamed reports into the *local* trial
+        # drain_telemetry mirrors streamed reports into the *local* trial
         # object while the remote objective is still running.
         executor = make_executor(1, backend="process")
         try:
@@ -139,7 +139,7 @@ class TestMidTrialPruning:
             future = executor.submit(_reporting_straggler, trial, None)
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and not trial.intermediate_values:
-                executor.pump_telemetry()
+                executor.drain_telemetry()
                 time.sleep(0.02)
             assert trial.intermediate_values, "no report streamed back mid-run"
             executor.kill_trial(trial, KILL_PRUNED)
