@@ -24,7 +24,12 @@ import pytest
 from common import save_result
 
 from repro.automl.events import JobStateChanged
-from repro.automl.remote import AntTuneClient, RemoteRouterServer, RemoteTuneServer
+from repro.automl.remote import (
+    AntTuneClient,
+    HashRing,
+    RemoteRouterServer,
+    RemoteTuneServer,
+)
 from repro.experiments import format_table
 
 N_CLIENTS = 4
@@ -33,7 +38,7 @@ REPORTS_PER_TRIAL = 8
 
 N_ROUTER_CLIENTS = 8  # router fan-out benchmark: clients across 2 backends
 
-# C10k fan-out benchmark: many subscribers per job, both serving edges.
+# C10k fan-out benchmark: many subscribers per job.
 N_FAN_JOBS = 8
 FAN_TRIALS = 2
 FAN_REPORTS = 200
@@ -60,13 +65,14 @@ def fanout_objective(trial):
     return trial.params["x"]
 
 
-def _drive_one_client(url: str, tag: int, results: dict, errors: list) -> None:
+def _drive_one_client(url: str, tag: int, results: dict, errors: list,
+                      study_name: str = "") -> None:
     try:
         client = AntTuneClient(url, timeout=15.0)
         job_id = client.submit("test_remote_throughput:SPACE",
                                "test_remote_throughput:objective",
                                config={"n_trials": N_TRIALS}, seed=tag,
-                               study_name=f"bench-client-{tag}")
+                               study_name=study_name or f"bench-client-{tag}")
         events = list(client.subscribe(job_id))
         best = client.wait(job_id, timeout=60.0)
         results[tag] = (job_id, events, best)
@@ -127,6 +133,25 @@ def test_concurrent_clients_streaming_throughput():
         f"remote event streaming collapsed to {events_per_sec:.1f} events/s")
 
 
+def _split_names(ring: HashRing, count: int) -> list:
+    """``count`` study names the ring places evenly across its nodes.
+
+    The backends' URLs carry OS-chosen ports, so fixed names would land
+    wherever those ports hash; picking the names from the ring itself keeps
+    the split (and so the measured load) the same on every run.
+    """
+    share = count // len(ring)
+    by_node: dict = {node: [] for node in sorted(ring.nodes)}
+    serial = 0
+    while any(len(names) < share for names in by_node.values()):
+        name = f"bench-client-{serial}"
+        serial += 1
+        names = by_node[ring.lookup(name)]
+        if len(names) < share:
+            names.append(name)
+    return [name for names in by_node.values() for name in names]
+
+
 def test_router_fanout_streaming_throughput():
     """Same drive, but through the fleet router over two backend servers.
 
@@ -142,8 +167,11 @@ def test_router_fanout_streaming_throughput():
          RemoteTuneServer(num_workers=4, max_concurrent_jobs=N_ROUTER_CLIENTS,
                           backend="thread") as backend_b, \
          RemoteRouterServer(backends=[backend_a.url, backend_b.url]) as router:
+        ring = HashRing([backend_a.url, backend_b.url], replicas=64)  # default
+        names = _split_names(ring, N_ROUTER_CLIENTS)
         threads = [threading.Thread(target=_drive_one_client,
-                                    args=(router.url, tag, results, errors))
+                                    args=(router.url, tag, results, errors,
+                                          names[tag]))
                    for tag in range(N_ROUTER_CLIENTS)]
         start = time.perf_counter()
         for thread in threads:
@@ -151,13 +179,15 @@ def test_router_fanout_streaming_throughput():
         for thread in threads:
             thread.join(timeout=120.0)
         elapsed = time.perf_counter() - start
-        placements = [router.router.status(job_id).get("backend")
-                      for job_id, _, _ in results.values()]
+        placements = {tag: router.router.status(job_id).get("backend")
+                      for tag, (job_id, _, _) in results.items()}
 
     assert not errors, errors
     assert len(results) == N_ROUTER_CLIENTS
-    # Consistent hashing over distinct study names should use both backends.
-    assert len(set(placements)) == 2, placements
+    # Every job lands where the ring puts its study name, on both backends.
+    assert placements == {tag: ring.lookup(names[tag])
+                          for tag in range(N_ROUTER_CLIENTS)}, placements
+    assert len(set(placements.values())) == 2, placements
 
     total_events = 0
     for tag, (job_id, events, best) in sorted(results.items()):
@@ -194,7 +224,7 @@ def test_router_fanout_streaming_throughput():
 
 
 # --------------------------------------------------------------------------- #
-# C10k: high-client-count streaming fan-out, threaded vs async edge
+# C10k: high-client-count streaming fan-out
 # --------------------------------------------------------------------------- #
 class _StreamMux:
     """N concurrent NDJSON stream readers multiplexed on the caller's thread.
@@ -272,17 +302,17 @@ def _parse_stream(buf: bytes):
     return status, events
 
 
-def _run_fanout(edge: str, n_clients: int) -> dict:
-    """One fan-out run: N subscribers over N_FAN_JOBS gated jobs, one edge."""
+def _run_fanout(n_clients: int) -> dict:
+    """One fan-out run: N subscribers over N_FAN_JOBS gated jobs."""
     FAN_GATE.clear()
     with RemoteTuneServer(num_workers=4, max_concurrent_jobs=N_FAN_JOBS,
-                          backend="thread", edge=edge) as remote:
+                          backend="thread") as remote:
         client = AntTuneClient(remote.url, timeout=30.0)
         job_ids = [
             client.submit("test_remote_throughput:SPACE",
                           "test_remote_throughput:fanout_objective",
                           config={"n_trials": FAN_TRIALS}, seed=tag,
-                          study_name=f"fan-{edge}-{n_clients}-{tag}")
+                          study_name=f"fan-{n_clients}-{tag}")
             for tag in range(N_FAN_JOBS)]
         requests = [
             (f"GET /v1/jobs/{job_ids[index % N_FAN_JOBS]}/events?last_seq=-1 "
@@ -291,11 +321,11 @@ def _run_fanout(edge: str, n_clients: int) -> dict:
         mux = _StreamMux(remote.address, requests)
         try:
             attach_start = time.perf_counter()
-            assert mux.attached(120.0), f"{edge}/{n_clients}: attach timed out"
+            assert mux.attached(120.0), f"{n_clients}: attach timed out"
             attach_seconds = time.perf_counter() - attach_start
             start = time.perf_counter()
             FAN_GATE.set()
-            assert mux.finished(300.0), f"{edge}/{n_clients}: streams hung"
+            assert mux.finished(300.0), f"{n_clients}: streams hung"
             elapsed = time.perf_counter() - start
             total_events = 0
             for index, buf in enumerate(mux.buffers):
@@ -304,7 +334,7 @@ def _run_fanout(edge: str, n_clients: int) -> dict:
                 job_id = job_ids[index % N_FAN_JOBS]
                 seqs = [event["seq"] for event in events]
                 assert seqs == list(range(len(events))), (
-                    f"{edge}/{n_clients}: client {index} stream has gaps")
+                    f"{n_clients}: client {index} stream has gaps")
                 assert events[-1]["type"] == "JobStateChanged"
                 assert events[-1]["terminal"]
                 assert all(event["job_id"] == job_id for event in events)
@@ -312,7 +342,6 @@ def _run_fanout(edge: str, n_clients: int) -> dict:
         finally:
             mux.close()
     return {
-        "edge": edge,
         "clients": n_clients,
         "jobs": N_FAN_JOBS,
         "events_streamed": total_events,
@@ -324,34 +353,18 @@ def _run_fanout(edge: str, n_clients: int) -> dict:
 
 @pytest.mark.slow
 def test_c10k_fanout_streaming():
-    """64/256/1000 concurrent streams, threaded vs async edge.
+    """64/256/1000 concurrent streams on one serving edge.
 
     Every stream is checked gapless to its terminal event, so the throughput
-    ratio never hides drops.  The async edge must hold 1000 concurrent
-    subscribers (the threaded edge is not asked to: a thread per connection
-    at that scale is exactly the ceiling this benchmark documents) and beat
-    the threaded edge >= 2x on aggregate delivered events/s at 256 clients.
+    never hides drops.  The edge must hold 1000 concurrent subscribers on
+    its one event-loop thread.
     """
-    rows = [
-        _run_fanout("threaded", 64),
-        _run_fanout("threaded", 256),
-        _run_fanout("async", 64),
-        _run_fanout("async", 256),
-        _run_fanout("async", 1000),
-    ]
-    by_key = {(row["edge"], row["clients"]): row for row in rows}
-    speedup = (by_key[("async", 256)]["events_per_sec"]
-               / by_key[("threaded", 256)]["events_per_sec"])
+    rows = [_run_fanout(64), _run_fanout(256), _run_fanout(1000)]
     text = format_table(
         rows, title=(f"{N_FAN_JOBS} gated jobs ({FAN_TRIALS} trials x "
                      f"{FAN_REPORTS} reports), N subscribers multiplexed on "
-                     f"one client thread; every stream gapless to terminal; "
-                     f"async/threaded events/s at 256 clients = "
-                     f"{speedup:.2f}x"))
+                     f"one client thread; every stream gapless to terminal"))
     save_result("remote_c10k", text)
 
-    # The tentpole's acceptance bar: the async edge holds 1000 concurrent
-    # streams (asserted gapless above) and >= 2x events/s at 256 clients.
-    assert by_key[("async", 1000)]["events_streamed"] > 0
-    assert speedup >= 2.0, (
-        f"async edge only {speedup:.2f}x over threaded at 256 clients")
+    # 1000 concurrent streams held, each asserted gapless above.
+    assert rows[-1]["events_streamed"] > 0

@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 from repro.automl.algorithms.base import SearchAlgorithm, completed_trials
 from repro.automl.search_space import SearchSpace
@@ -49,6 +47,10 @@ class BayesianOptimization(SearchAlgorithm):
     # ------------------------------------------------------------------ #
     def _posterior(self, x_train: np.ndarray, y_train: np.ndarray,
                    x_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # scipy is imported here, not at module level: importing
+        # repro.automl needs numpy alone.
+        from scipy import linalg
+
         k_train = _rbf_kernel(x_train, x_train, self.length_scale, self.variance)
         k_train[np.diag_indices_from(k_train)] += self.noise
         k_cross = _rbf_kernel(x_train, x_query, self.length_scale, self.variance)
@@ -68,6 +70,8 @@ class BayesianOptimization(SearchAlgorithm):
         return mean, std
 
     def _expected_improvement(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
+        from scipy.stats import norm
+
         improvement = mean - best - self.exploration
         z = improvement / std
         return improvement * norm.cdf(z) + std * norm.pdf(z)

@@ -405,8 +405,7 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         backend=args.backend, scheduler=args.scheduler,
         lease_seconds=args.lease_seconds,
         storage=args.db if args.db != ":memory:" else None,
-        recover=args.recover,
-        edge=args.edge, edge_workers=args.edge_workers,
+        recover=args.recover, edge_workers=args.edge_workers,
         write_buffer_limit=args.write_buffer)
     if remote.recovery is not None:
         summary = remote.recovery
@@ -422,8 +421,7 @@ def _cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 f"(study {entry['study_name']!r})")
     remote.start()
     out(f"serving AntTune on {remote.url} "
-        f"(edge={remote.edge}, workers={args.workers}, "
-        f"backend={args.backend}, "
+        f"(workers={args.workers}, backend={args.backend}, "
         f"storage={args.db if args.db != ':memory:' else 'off'})")
     try:
         if args.run_seconds is not None:
@@ -448,9 +446,9 @@ def _cmd_route(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     remote = RemoteRouterServer(
         args.backend, host=args.host, port=args.port, token=args.token,
         replicas=args.replicas, health_interval=args.health_interval,
-        health_timeout=args.health_timeout, edge=args.edge)
+        health_timeout=args.health_timeout)
     remote.start()
-    out(f"routing AntTune on {remote.url} (edge={remote.edge}) across "
+    out(f"routing AntTune on {remote.url} across "
         f"{len(args.backend)} backend(s): {' '.join(args.backend)}")
     try:
         if args.run_seconds is not None:
@@ -633,8 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
     cancel.add_argument("name", help="job id")
     add_server_options(cancel)
 
+    # No prefix matching: `--edge X` must be refused as unknown, not parsed
+    # as --edge-workers.
     serve = sub.add_parser(
-        "serve", help="serve the tune service over HTTP on this --db file")
+        "serve", help="serve the tune service over HTTP on this --db file",
+        allow_abbrev=False)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8123,
@@ -671,21 +672,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="before serving, reconcile the durable event log "
                             "with storage: auto-resume or finalise jobs a "
                             "previous process left RUNNING")
-    serve.add_argument("--edge", default=None,
-                       choices=("async", "threaded"),
-                       help="serving edge: 'async' multiplexes every "
-                            "connection on one selectors event loop (holds "
-                            "thousands of streams), 'threaded' is the "
-                            "thread-per-connection fallback "
-                            "(default: $ANTTUNE_EDGE or async)")
     serve.add_argument("--edge-workers", type=int, default=8,
-                       help="async edge only: bounded worker pool for "
-                            "control handlers and stream backfills "
-                            "(default: %(default)s)")
+                       help="bounded worker pool for control handlers and "
+                            "stream backfills (default: %(default)s)")
     serve.add_argument("--write-buffer", type=int, default=256 * 1024,
-                       help="async edge only: per-connection cap in bytes on "
-                            "buffered unsent output before backpressure "
-                            "engages (default: %(default)s)")
+                       help="per-connection cap in bytes on buffered unsent "
+                            "output before backpressure engages "
+                            "(default: %(default)s)")
 
     route = sub.add_parser(
         "route", help="serve a fleet router: fan submits across backend "
@@ -714,11 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--run-seconds", type=float, default=None,
                        help="route for this long then exit "
                             "(default: until interrupted; mainly for tests)")
-    route.add_argument("--edge", default=None,
-                       choices=("async", "threaded"),
-                       help="serving edge for proxied streams: 'async' "
-                            "(event loop) or 'threaded' (fallback) "
-                            "(default: $ANTTUNE_EDGE or async)")
 
     work = sub.add_parser(
         "work", help="run a pull worker: claim trial tickets from "

@@ -7,9 +7,12 @@ ordered stream; this package puts that substrate on the network:
   validation, event serialisation (via :func:`repro.automl.events.event_to_wire`),
   ``module:attr`` code references and typed protocol errors.
 * :mod:`repro.automl.remote.http_server` — :class:`RemoteTuneServer`, a
-  stdlib-only threaded HTTP server wrapping an in-process
+  stdlib-only HTTP server wrapping an in-process
   :class:`~repro.automl.server.AntTuneServer`: submit/resume/status/wait/
   cancel/list endpoints plus a resumable NDJSON event stream per job.
+* :mod:`repro.automl.remote.edge` — :class:`AsyncHTTPEdge`, the one
+  ``selectors`` event loop that serves every socket of the tune server and
+  the router.
 * :mod:`repro.automl.remote.client` — :class:`AntTuneClient`, the SDK-side
   mirror of the in-process API (``submit``/``poll``/``wait``/``cancel``/
   ``subscribe``) speaking the wire schema, with reconnect-and-replay on

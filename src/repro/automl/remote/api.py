@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import fields as dataclass_fields
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.automl.study import StudyConfig
 from repro.automl.trial import Trial, TrialState
@@ -339,7 +339,3 @@ def trial_from_record(record: Dict[str, object]) -> Trial:
     trial.intermediate_values = [
         float(v) for v in record.get("intermediate_values", [])]
     return trial
-
-
-# Type alias used by the HTTP layer for its auth hook.
-AuthCheck = Callable[[Optional[str]], bool]

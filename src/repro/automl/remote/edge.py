@@ -1,10 +1,9 @@
 """The C10k serving edge: a stdlib ``selectors`` event loop for HTTP/JSON.
 
-The remote layer's original transport was thread-per-connection
-(``ThreadingHTTPServer``): every NDJSON event stream owned a handler thread
-for its lifetime and every parked ``/wait`` pinned one more, capping a
-backend at a few dozen concurrent streaming clients.  This module replaces
-that transport with one I/O thread multiplexing **all** sockets:
+A thread per connection would give every NDJSON event stream a handler
+thread for its lifetime and every parked ``/wait`` one more, capping a
+backend at a few dozen concurrent streaming clients.  This edge serves the
+tune server and the router with one I/O thread multiplexing **all** sockets:
 
 * **One event loop** (:class:`AsyncHTTPEdge`) owns every connection: a
   non-blocking listener, incremental HTTP/1.1 request parsing straight off
@@ -51,8 +50,8 @@ through a small duck-typed protocol::
 
 ``handle_control`` / ``wait_begin`` / ``stream_begin`` run on worker-pool
 threads and may raise :class:`~repro.automl.remote.api.ProtocolError` /
-:class:`~repro.exceptions.TrialError` — the edge maps them to the same
-4xx/404/409/500 JSON error taxonomy as the threaded transport.
+:class:`~repro.exceptions.TrialError` — the edge maps them to the
+4xx/404/409/500 JSON error taxonomy.
 
 Everything here is stdlib-only, like the rest of the remote layer.
 """
@@ -83,9 +82,8 @@ MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1 << 20
 _RECV_CHUNK = 64 * 1024
 
-# Request metrics are shared with the threaded transport (http_server
-# aliases these): one latency histogram and one status counter per route
-# template, whichever edge served the request.
+# Request metrics: one latency histogram and one status counter per route
+# template.
 _HTTP_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_http_request_seconds",
     "HTTP request handling latency by method and route template.",
@@ -175,20 +173,18 @@ def _bearer_token(headers: Dict[str, str]) -> Optional[str]:
 class Reply:
     """One complete control response: status, body bytes, content type."""
 
-    __slots__ = ("status", "body", "content_type", "close")
+    __slots__ = ("status", "body", "content_type")
 
     def __init__(self, status: int, body: bytes,
-                 content_type: str = "application/json",
-                 close: bool = False) -> None:
+                 content_type: str = "application/json") -> None:
         self.status = status
         self.body = body
         self.content_type = content_type
-        self.close = close
 
 
-def json_reply(status: int, payload: object, close: bool = False) -> Reply:
+def json_reply(status: int, payload: object) -> Reply:
     """A :class:`Reply` carrying a JSON body (the common case)."""
-    return Reply(status, _json_bytes(payload), close=close)
+    return Reply(status, _json_bytes(payload))
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
@@ -497,7 +493,7 @@ class AsyncHTTPEdge:
             self._done.wait(timeout=10.0)
         else:
             # Never started: nothing is draining the stop flag, clean up
-            # inline (mirrors the threaded server's never-started stop()).
+            # inline.
             self._shutdown_loop()
         self._pool.shutdown(wait=False)
 
@@ -1000,8 +996,7 @@ class AsyncHTTPEdge:
                 result = app.handle_control(method, template, args, params,
                                             read_body, request_id)
                 self._respond(conn, request.serial, result.status, result.body,
-                              result.content_type,
-                              result.close or not request.keep_alive,
+                              result.content_type, not request.keep_alive,
                               request_id)
                 record(result.status)
             elif kind == "wait":

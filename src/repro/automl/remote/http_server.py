@@ -20,21 +20,15 @@ of :mod:`repro.automl.remote.api`:
 ``POST /v1/resume``                   resume a stored study as a new job
 ====================================  =========================================
 
-The endpoint logic lives in one transport-agnostic core (:class:`_TuneApp`)
-served by either of two edges:
-
-* ``edge="async"`` (the default): :class:`~repro.automl.remote.edge.AsyncHTTPEdge`,
-  one ``selectors`` event loop multiplexing every socket.  Event streams are
-  per-connection write buffers fed by event-bus callbacks (frames batched
-  per loop flush, each frame the event's shared pre-serialised wire bytes),
-  and ``/wait`` parks as a terminal-event continuation instead of pinning a
-  thread per waiter.  This is the edge that holds thousands of concurrent
-  streaming clients.
-* ``edge="threaded"``: the original ``ThreadingHTTPServer``
-  thread-per-connection transport, kept for one release as a fallback
-  (``serve --edge threaded``).  Same routes, same taxonomy, same wire bytes.
-
-The default is overridable process-wide with ``ANTTUNE_EDGE=threaded|async``.
+The endpoint logic lives in :class:`_TuneApp`, served by
+:class:`~repro.automl.remote.edge.AsyncHTTPEdge`: one ``selectors`` event
+loop multiplexing every socket.  Event streams are per-connection write
+buffers fed by event-bus callbacks (frames batched per loop flush, each
+frame the event's shared pre-serialised wire bytes), and ``/wait`` parks as
+a terminal-event continuation instead of pinning a thread per waiter.  The
+fleet router (:mod:`~repro.automl.remote.router`) serves through the same
+front (:class:`_HTTPFront`), route table and edge hooks
+(:class:`_EndpointApp`).
 
 The event stream is the server-side half of ``subscribe()``: each line is one
 :func:`~repro.automl.events.event_to_wire` payload carrying the job's
@@ -45,9 +39,9 @@ or the whole process restarted — see :mod:`repro.automl.eventlog`), then the
 live subscription takes over, de-duplicated by seq.  Live delivery keeps the
 bus's drop-oldest semantics, with the per-connection queue bound settable
 via ``?max_queue=`` (drops are counted in
-``anttune_event_queue_dropped_total`` on either edge).  Blank heartbeat
-lines are emitted while the stream idles so dead connections are noticed
-and their resources released.
+``anttune_event_queue_dropped_total``).  Blank heartbeat lines are emitted
+while the stream idles so dead connections are noticed and their resources
+released.
 
 Constructed with ``recover=True`` (the CLI's ``serve --recover``), the
 wrapper runs :meth:`AntTuneServer.recover
@@ -64,9 +58,9 @@ cardinality bounded).  Each request's ``X-Request-Id`` header (generated when
 absent) is echoed back on the response and, on submit/resume, becomes the
 job's trace id — the correlation id stamped on every event the job publishes,
 so one id follows a request from HTTP ingress through the whole trial
-lifecycle and across crash-recovered resumes.  The async edge additionally
-exposes ``anttune_http_open_connections{kind}``,
-``anttune_edge_flush_batch_size`` and ``anttune_edge_loop_lag_seconds``.
+lifecycle and across crash-recovered resumes.  The edge also exposes
+``anttune_http_open_connections{kind}``, ``anttune_edge_flush_batch_size``
+and ``anttune_edge_loop_lag_seconds``.
 
 Failure handling: schema violations answer 4xx JSON error bodies
 (:class:`~repro.automl.remote.api.ProtocolError` carries the status), unknown
@@ -78,12 +72,6 @@ for anything fancier.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.automl import metrics as _metrics
@@ -97,28 +85,24 @@ from repro.automl.remote.api import (
 from repro.automl.remote.edge import (
     AsyncHTTPEdge,
     Reply,
-    _clean_request_id,
     _float_param,
     _int_param,
     _job_id_segment,
-    _json_bytes,
     json_reply,
 )
-from repro.automl.remote.edge import _HTTP_SECONDS, _HTTP_TOTAL  # noqa: F401
 from repro.automl.server import AntTuneServer
 from repro.exceptions import TrialError
 from repro.utils.rng import new_rng
 
 __all__ = ["RemoteTuneServer"]
 
-# How long a single /wait request may block (threaded edge) or stay parked
-# (async edge); clients poll.
+# How long a single /wait request may stay parked; clients poll.
 MAX_WAIT_SECONDS = 60.0
 # Idle heartbeat period on event streams (blank NDJSON line): detects dead
 # connections and keeps read timeouts from firing on quiet jobs.
 HEARTBEAT_SECONDS = 5.0
-# Grace for a connected client that stopped *reading*: on the threaded edge
-# a socket send timeout, on the async edge the no-progress stall sweep.
+# Grace for a connected client that stopped *reading*: the edge's
+# no-progress stall sweep disconnects it after this long.
 STREAM_SEND_TIMEOUT = 30.0
 # The Prometheus text exposition content type served by GET /v1/metrics.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -188,17 +172,16 @@ class _WaitParker:
         return _wait_payload(self._tune, self.job_id, 0.0)
 
 
-class _TuneApp:
-    """The tune service's endpoint core, shared by both serving edges.
+class _EndpointApp:
+    """What the tune server's and the router's endpoint cores share.
 
-    Transport-agnostic: route classification, request handling, wait
-    semantics and stream setup live here; the async edge drives it through
-    the protocol described in :mod:`repro.automl.remote.edge`, the threaded
-    handler through the same methods plus the ``*_threaded`` blocking
-    variants.
+    The edge hooks of the app protocol (see :mod:`repro.automl.remote.edge`),
+    the one ``/v1`` route table and ``/wait`` argument parsing; a subclass
+    adds the control, wait and stream handlers for its own service.
+    ``remote`` is the :class:`_HTTPFront` serving the app.
     """
 
-    def __init__(self, remote: "RemoteTuneServer") -> None:
+    def __init__(self, remote: "_HTTPFront") -> None:
         self.remote = remote
 
     # -- edge hooks ------------------------------------------------------ #
@@ -210,7 +193,7 @@ class _TuneApp:
 
     @property
     def heartbeat_seconds(self) -> float:
-        return HEARTBEAT_SECONDS  # read dynamically: tests retune it
+        return HEARTBEAT_SECONDS  # read per stream: the constant is tunable
 
     @property
     def stream_send_timeout(self) -> float:
@@ -258,6 +241,21 @@ class _TuneApp:
                 return ("control", f"/v1/tickets/{{id}}/{parts[2]}",
                         (parts[1], parts[2]))
         return None
+
+    # -- wait ------------------------------------------------------------ #
+    def _wait_args(self, args: object,
+                   params: Dict[str, str]) -> Tuple[int, float]:
+        job_id = _job_id_segment(args)
+        timeout = min(_float_param(params, "timeout", 10.0), MAX_WAIT_SECONDS)
+        return job_id, max(0.0, timeout)
+
+
+class _TuneApp(_EndpointApp):
+    """The tune service's endpoint core, over an in-process AntTuneServer.
+
+    Serves the whole ``/v1`` route table, the pull-worker ticket surface
+    included.
+    """
 
     # -- control --------------------------------------------------------- #
     def handle_control(self, method: str, template: str, args: object,
@@ -366,21 +364,9 @@ class _TuneApp:
         return json_reply(200, {"ok": True, "kill": kill})
 
     # -- wait ------------------------------------------------------------ #
-    def _wait_args(self, args: object,
-                   params: Dict[str, str]) -> Tuple[int, float]:
-        job_id = _job_id_segment(args)
-        timeout = min(_float_param(params, "timeout", 10.0), MAX_WAIT_SECONDS)
-        return job_id, max(0.0, timeout)
-
-    def wait_blocking(self, args: object, params: Dict[str, str],
-                      request_id: Optional[str]) -> Dict[str, object]:
-        """Threaded-edge ``/wait``: block the handler thread (bounded)."""
-        job_id, timeout = self._wait_args(args, params)
-        return _wait_payload(self.remote.tune_server, job_id, timeout)
-
     def wait_begin(self, args: object, params: Dict[str, str],
                    request_id: Optional[str]):
-        """Async-edge ``/wait``: answer now, or park a continuation.
+        """``/wait``: answer now, or park a continuation.
 
         A job that is already done (or a zero timeout) answers immediately;
         otherwise no thread blocks — the edge holds the connection and the
@@ -395,7 +381,7 @@ class _TuneApp:
     # -- event streams --------------------------------------------------- #
     def stream_begin(self, args: object, params: Dict[str, str],
                      request_id: Optional[str], sink) -> None:
-        """Async-edge ``/events``: wire one job's feed into a stream sink.
+        """``/events``: wire one job's feed into a stream sink.
 
         ``last_seq`` skips everything the client already saw.  The gap
         backfills from the durable event log first, then live bus frames
@@ -444,310 +430,30 @@ class _TuneApp:
             return
         sink.backfill_done(sent)
 
-    def stream_threaded(self, handler: "_Handler", args: object,
-                        params: Dict[str, str]) -> None:
-        """Threaded-edge ``/events``: stream on the handler's own thread."""
-        job_id = _job_id_segment(args)
-        last_seq = _int_param(params, "last_seq", -1)
-        max_queue = _int_param(params, "max_queue", 1024)
-        if max_queue < 1:
-            raise ProtocolError("max_queue must be >= 1")
-        backfill, subscription = self.remote.tune_server.open_event_stream(
-            job_id, last_seq=last_seq, max_queue=max_queue)
-        try:
-            # A client that stops *reading* must not pin this thread: once
-            # the TCP window fills, writes block — bound them so the wedged
-            # connection is torn down and the subscription released.
-            handler.connection.settimeout(self.stream_send_timeout)
-            handler._last_status = 200
-            handler.send_response(200)
-            handler.send_header("Content-Type", "application/x-ndjson")
-            handler.send_header("Cache-Control", "no-store")
-            if handler._request_id:
-                handler.send_header("X-Request-Id", handler._request_id)
-            # Close-delimited stream: its length is unknowable up front.
-            handler.send_header("Connection", "close")
-            handler.end_headers()
-            sent = last_seq  # highest seq written; the de-dup watermark
-            for event in backfill:
-                if event.seq <= sent:
-                    continue
-                handler.wfile.write(event_wire_bytes(event))
-                handler.wfile.flush()
-                sent = event.seq
-                if isinstance(event, JobStateChanged) and event.terminal:
-                    return  # the log already holds the stream's end
-            if subscription is None:
-                return  # log-only job: the backfill was the whole story
-            while True:
-                try:
-                    event = subscription.get(timeout=self.heartbeat_seconds)
-                except TimeoutError:
-                    # Idle heartbeat: keeps client read timeouts quiet and
-                    # surfaces a dead connection as a write error here.
-                    handler.wfile.write(b"\n")
-                    handler.wfile.flush()
-                    continue
-                if event is None:
-                    return  # terminal event already delivered
-                if event.seq > sent:
-                    handler.wfile.write(event_wire_bytes(event))
-                    handler.wfile.flush()
-                    sent = event.seq
-                if isinstance(event, JobStateChanged) and event.terminal:
-                    return
-        except OSError:
-            # Disconnected or stalled client (reset, broken pipe, send
-            # timeout): drop the stream; it can resume with last_seq.
-            return
-        finally:
-            if subscription is not None:
-                subscription.close()
-            handler.close_connection = True
 
+class _HTTPFront:
+    """One HTTP/JSON front: an :class:`AsyncHTTPEdge` serving an app.
 
-class _Handler(BaseHTTPRequestHandler):
-    """The threaded edge's transport shim around ``self.remote.app``.
-
-    Pure plumbing — parsing, auth, metrics, error taxonomy — with every
-    endpoint decision delegated to the app core, so both edges serve
-    byte-identical responses.  ``self.remote`` is injected by
-    :class:`RemoteTuneServer`.
+    Binds at construction, serves from :meth:`start` (background thread) or
+    :meth:`serve_forever` (calling thread) and closes in :meth:`stop`.  A
+    subclass builds or adopts the service behind it, then calls this
+    constructor with its app; it overrides :meth:`_start_service` and
+    :meth:`_close_owned` to start that service before serving and to close
+    it — when it built it — on stop or on a failed bind.
     """
 
-    remote: "RemoteTuneServer"
-    protocol_version = "HTTP/1.1"
-    # Per-request observability state, reset by _dispatch: the status code
-    # the reply carried and the request's correlation id.
-    _last_status: int = 0
-    _request_id: Optional[str] = None
-
-    # The default handler logs every request to stderr; route through the
-    # remote server's hook so tests/operators control verbosity.
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        self.remote.log(f"{self.address_string()} - {format % args}")
-
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-    def _reply(self, status: int, payload: object,
-               close: bool = False) -> None:
-        self._reply_bytes(status, _json_bytes(payload), "application/json",
-                          close=close)
-
-    def _reply_bytes(self, status: int, body: bytes, content_type: str,
-                     close: bool = False) -> None:
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        # Errors may be answered before the request body was consumed (bad
-        # auth, unknown route): closing the connection keeps a keep-alive
-        # client's stream from desyncing on the unread bytes.
-        self.close_connection = True
-        self._reply(status, {"error": message, "protocol": PROTOCOL_VERSION},
-                    close=True)
-
-    def _bearer_token(self) -> Optional[str]:
-        header = self.headers.get("Authorization", "")
-        scheme, _, credentials = header.partition(" ")
-        if scheme.lower() == "bearer" and credentials:
-            return credentials.strip()
-        return None
-
-    def _read_body(self) -> object:
-        length = self.headers.get("Content-Length")
-        try:
-            size = int(length) if length is not None else 0
-        except ValueError:
-            raise ProtocolError("invalid Content-Length header") from None
-        if size <= 0:
-            raise ProtocolError("request requires a JSON body")
-        if size > 1 << 20:
-            raise ProtocolError("request body too large", status=413)
-        raw = self.rfile.read(size)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}") \
-                from None
-
-    def _query(self) -> Tuple[str, Dict[str, str]]:
-        split = urllib.parse.urlsplit(self.path)
-        params = dict(urllib.parse.parse_qsl(split.query,
-                                             keep_blank_values=True))
-        return split.path.rstrip("/") or "/", params
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, method: str) -> None:
-        start = perf_counter()
-        self._last_status = 0
-        self._request_id = (_clean_request_id(self.headers.get("X-Request-Id"))
-                            or _metrics.new_trace_id())
-        app = self.remote.app
-        endpoint = "unmatched"  # route *template*, never the raw path: label
-        # cardinality stays bounded no matter what clients request.
-        try:
-            path, params = self._query()
-            if not app.check_auth(self._bearer_token()):
-                self._error(401, "missing or invalid bearer token")
-                return
-            classified = app.classify(method, path)
-            if classified is None:
-                self._error(404, f"no such endpoint: {method} {path}")
-                return
-            kind, endpoint, args = classified
-            if kind == "control":
-                result = app.handle_control(method, endpoint, args, params,
-                                            self._read_body, self._request_id)
-                if result.close:
-                    self.close_connection = True
-                self._reply_bytes(result.status, result.body,
-                                  result.content_type, close=result.close)
-            elif kind == "wait":
-                self._reply(200, app.wait_blocking(args, params,
-                                                   self._request_id))
-            else:  # events
-                app.stream_threaded(self, args, params)
-        except ProtocolError as exc:
-            self._safe_error(exc.status, str(exc))
-        except TrialError as exc:
-            message = str(exc)
-            status = 404 if message.startswith("unknown") else 409
-            self._safe_error(status, message)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to answer
-        except Exception as exc:  # noqa: BLE001 - one bad request must never
-            # take the server (or even its connection thread) down.
-            self._safe_error(500, f"{type(exc).__name__}: {exc}")
-        finally:
-            _HTTP_TOTAL.labels(method=method, endpoint=endpoint,
-                               status=str(self._last_status or 0)).inc()
-            _HTTP_SECONDS.labels(method=method, endpoint=endpoint).observe(
-                perf_counter() - start)
-
-    def _safe_error(self, status: int, message: str) -> None:
-        try:
-            self._error(status, message)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-
-class RemoteTuneServer:
-    """Serve an :class:`AntTuneServer` over HTTP/JSON on a loopback (or any) port.
-
-    Args:
-        tune_server: the in-process server to expose; constructed from
-            ``server_kwargs`` when omitted (and then owned — shut down with
-            the HTTP layer).
-        host: bind address (default loopback).
-        port: bind port; 0 picks a free one (see :attr:`address`).
-        token: when set, every request must carry
-            ``Authorization: Bearer <token>`` (else 401).  Override
-            :meth:`check_auth` for custom schemes.
-        log: optional callable receiving one line per handled request.
-        recover: run :meth:`AntTuneServer.recover
-            <repro.automl.server.AntTuneServer.recover>` before binding the
-            port — interrupted jobs are auto-resumed or finalised before any
-            client can connect; the summary lands in :attr:`recovery`.
-            Requires file-backed storage.
-        edge: ``"async"`` (event-loop edge, the default) or ``"threaded"``
-            (thread-per-connection fallback).  Defaults from the
-            ``ANTTUNE_EDGE`` environment variable when unset.
-        edge_workers: async edge only — bounded worker pool for control
-            handlers and stream backfills.
-        write_buffer_limit: async edge only — per-connection cap (bytes) on
-            buffered unsent output before backpressure engages.
-        **server_kwargs: forwarded to :class:`AntTuneServer` when
-            ``tune_server`` is omitted (``num_workers=``, ``storage=``, ...).
-
-    Use as a context manager, or call :meth:`start` / :meth:`stop`::
-
-        with RemoteTuneServer(num_workers=2) as remote:
-            client = AntTuneClient(remote.url)
-            ...
-    """
-
-    def __init__(self, tune_server: Optional[AntTuneServer] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 token: Optional[str] = None,
-                 log: Optional[object] = None,
-                 recover: bool = False,
-                 edge: Optional[str] = None,
-                 edge_workers: int = 8,
-                 write_buffer_limit: int = 256 * 1024,
-                 **server_kwargs: object) -> None:
-        if edge is None:
-            edge = os.environ.get("ANTTUNE_EDGE") or "async"
-        if edge not in ("async", "threaded"):
-            raise ValueError(f"edge must be 'async' or 'threaded', "
-                             f"got {edge!r}")
-        self.edge = edge
-        self._owns_tune_server = tune_server is None
-        self.tune_server = (tune_server if tune_server is not None
-                            else AntTuneServer(**server_kwargs))  # type: ignore[arg-type]
+    def __init__(self, app: _EndpointApp, address: Tuple[str, int],
+                 token: Optional[str], log: Optional[Callable[[str], None]],
+                 name: str, **edge_kwargs: int) -> None:
         self.token = token
         self._log = log
-        #: recover()'s summary when constructed with ``recover=True``.
-        self.recovery: Optional[Dict[str, object]] = None
-        if recover:
-            # Reconcile *before* the socket exists: a reconnecting client is
-            # held in the kernel backlog (or connection-refused and retried
-            # by the SDK) rather than observing half-recovered state.
-            try:
-                self.recovery = self.tune_server.recover()
-            except Exception:
-                if self._owns_tune_server:
-                    self.tune_server.shutdown()
-                raise
-        self.app = self._make_app()
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._edge: Optional[AsyncHTTPEdge] = None
         try:
-            if edge == "threaded":
-                handler = type("BoundHandler", (_Handler,), {"remote": self})
-                # Match the async edge's listen backlog: the stdlib default
-                # (5) makes any burst of connections hit SYN-retransmit
-                # backoff long before a thread is even spawned.
-                server_cls = type("BoundHTTPServer", (ThreadingHTTPServer,),
-                                  {"request_queue_size": 1024})
-                self._httpd = server_cls((host, port), handler)
-                # Handler threads must not block interpreter exit: an event
-                # stream can stay open for a job's whole lifetime.
-                self._httpd.daemon_threads = True
-            else:
-                self._edge = AsyncHTTPEdge(
-                    (host, port), self.app, workers=edge_workers,
-                    write_buffer_limit=write_buffer_limit,
-                    name="anttune-edge")
+            self._edge = AsyncHTTPEdge(address, app, name=name, **edge_kwargs)
         except OSError:
-            # Bind failure (port in use, bad host): a tune server this
-            # wrapper constructed — and so owns — must not leak its pool.
-            if self._owns_tune_server:
-                self.tune_server.shutdown()
+            # Bind failure (port in use, bad host): whatever this front
+            # built must not leak its threads or pool.
+            self._close_owned()
             raise
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
-
-    def _make_app(self) -> _TuneApp:
-        """The endpoint core; routers override to serve their own app."""
-        return _TuneApp(self)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -755,9 +461,7 @@ class RemoteTuneServer:
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — useful with ``port=0``."""
-        if self._edge is not None:
-            return self._edge.address
-        return self._httpd.server_address[:2]
+        return self._edge.address
 
     @property
     def url(self) -> str:
@@ -784,27 +488,97 @@ class RemoteTuneServer:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> "RemoteTuneServer":
+    def _start_service(self) -> None:
+        """Start the service behind the front before serving (default: none)."""
+
+    def _close_owned(self) -> None:
+        """Close the service behind the front if this front built it."""
+        raise NotImplementedError
+
+    def start(self) -> "_HTTPFront":
         """Serve in a background thread and return self (idempotent)."""
-        if self._edge is not None:
-            self._edge.start()
-            self._started = True
-            return self
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                            name="anttune-http",
-                                            daemon=True)
-            self._thread.start()
-            self._started = True
+        self._start_service()
+        self._edge.start()
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI ``serve`` command's mode)."""
-        self._started = True
-        if self._edge is not None:
-            self._edge.serve_forever()
-        else:
-            self._httpd.serve_forever()
+        """Serve on the calling thread (the CLI ``serve``/``route`` mode)."""
+        self._start_service()
+        self._edge.serve_forever()
+
+    def stop(self) -> None:
+        """Stop accepting requests; close the service when owned here."""
+        self._edge.stop()
+        self._close_owned()
+
+    def __enter__(self) -> "_HTTPFront":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+
+class RemoteTuneServer(_HTTPFront):
+    """Serve an :class:`AntTuneServer` over HTTP/JSON on a loopback (or any) port.
+
+    Args:
+        tune_server: the in-process server to expose; constructed from
+            ``server_kwargs`` when omitted (and then owned — shut down with
+            the HTTP layer).
+        host: bind address (default loopback).
+        port: bind port; 0 picks a free one (see :attr:`address`).
+        token: when set, every request must carry
+            ``Authorization: Bearer <token>`` (else 401).  Override
+            :meth:`check_auth` for custom schemes.
+        log: optional callable receiving one line per handled request.
+        recover: run :meth:`AntTuneServer.recover
+            <repro.automl.server.AntTuneServer.recover>` before binding the
+            port — interrupted jobs are auto-resumed or finalised before any
+            client can connect; the summary lands in :attr:`recovery`.
+            Requires file-backed storage.
+        edge_workers: bounded worker pool for control handlers and stream
+            backfills.
+        write_buffer_limit: per-connection cap (bytes) on buffered unsent
+            output before backpressure engages.
+        **server_kwargs: forwarded to :class:`AntTuneServer` when
+            ``tune_server`` is omitted (``num_workers=``, ``storage=``, ...).
+
+    Use as a context manager, or call :meth:`start` / :meth:`stop`::
+
+        with RemoteTuneServer(num_workers=2) as remote:
+            client = AntTuneClient(remote.url)
+            ...
+    """
+
+    def __init__(self, tune_server: Optional[AntTuneServer] = None,
+                 host: str = "127.0.0.1", port: int = 0,
+                 token: Optional[str] = None,
+                 log: Optional[Callable[[str], None]] = None,
+                 recover: bool = False,
+                 edge_workers: int = 8,
+                 write_buffer_limit: int = 256 * 1024,
+                 **server_kwargs: object) -> None:
+        self._owns_tune_server = tune_server is None
+        self.tune_server = (tune_server if tune_server is not None
+                            else AntTuneServer(**server_kwargs))  # type: ignore[arg-type]
+        #: recover()'s summary when constructed with ``recover=True``.
+        self.recovery: Optional[Dict[str, object]] = None
+        if recover:
+            # Reconcile *before* the socket exists: a reconnecting client is
+            # held in the kernel backlog (or connection-refused and retried
+            # by the SDK) rather than observing half-recovered state.
+            try:
+                self.recovery = self.tune_server.recover()
+            except Exception:
+                self._close_owned()
+                raise
+        super().__init__(_TuneApp(self), (host, port), token, log,
+                         name="anttune-edge", workers=edge_workers,
+                         write_buffer_limit=write_buffer_limit)
+
+    def _close_owned(self) -> None:
+        if self._owns_tune_server:
+            self.tune_server.shutdown()
 
     def stop(self, shutdown_tune_server: Optional[bool] = None) -> None:
         """Stop accepting requests; optionally shut the tune server down.
@@ -813,25 +587,6 @@ class RemoteTuneServer:
             shutdown_tune_server: defaults to whether this wrapper
                 constructed (and so owns) the in-process server.
         """
-        if self._edge is not None:
-            self._edge.stop()
-        else:
-            if self._started:
-                # BaseServer.shutdown() waits on a flag only serve_forever()
-                # ever sets — calling it on a never-started server deadlocks.
-                self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
-                self._thread = None
-        self._started = False
-        owns = (self._owns_tune_server if shutdown_tune_server is None
-                else shutdown_tune_server)
-        if owns:
-            self.tune_server.shutdown()
-
-    def __enter__(self) -> "RemoteTuneServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        if shutdown_tune_server is not None:
+            self._owns_tune_server = shutdown_tune_server
+        super().stop()

@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import os
 import threading
 import uuid
 from time import monotonic
@@ -62,9 +61,7 @@ from repro.automl.remote.api import PROTOCOL_VERSION, ProtocolError
 from repro.automl.remote.client import AntTuneClient, _ServerUnreachable
 from repro.automl.remote import http_server as _http
 from repro.automl.remote.edge import (
-    AsyncHTTPEdge,
     Reply,
-    _float_param,
     _int_param,
     _job_id_segment,
     _json_bytes,
@@ -176,7 +173,7 @@ class _RouterJob:
     index == router seq, so replay is a slice and gaplessness is
     structural; every streaming connection shares the same line objects
     (serialise once, fan out N times).  ``listeners``
-    are the async edge's per-connection push callbacks, invoked under
+    are the edge's per-connection push callbacks, invoked under
     ``cond`` at append time.  ``incarnation`` counts (re)attachments to a
     backend; a relay thread carries the incarnation it was started under
     and discards everything once the numbers diverge.
@@ -265,7 +262,7 @@ class TuneRouter:
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
             self._health_thread = None
-        # Wake any handler blocked in wait()/events so shutdown is prompt.
+        # Wake any caller blocked in wait() so shutdown is prompt.
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         for job in jobs:
@@ -556,7 +553,8 @@ class TuneRouter:
         """Append one NDJSON line to the journal (caller holds ``job.cond``).
 
         The line is the buffer every streaming connection shares; it is
-        pushed to the async edge's listeners, and journal tailers wake.
+        pushed to the edge's listeners, and callers blocked in
+        :meth:`TuneRouter.wait` wake.
         """
         seq = len(job.journal_bytes)
         job.journal_bytes.append(data)
@@ -811,65 +809,26 @@ class _RouterWaitParker:
         return self._router.wait(self._job.job_id, timeout=0.0)
 
 
-class _RouterApp:
+class _RouterApp(_http._EndpointApp):
     """The router's endpoint core: the backend protocol, served off journals.
 
-    The same transport-agnostic shape as
-    :class:`~repro.automl.remote.http_server._TuneApp` — driven by the
-    async edge or the threaded handler — but hitting the
+    The tune server's route table and edge hooks, hitting the
     :class:`TuneRouter` instead of an in-process ``AntTuneServer``.  Submit
     and resume deliberately do *not* parse refs — the router forwards
-    bodies; only backends import code.  No ticket surface: workers talk to
-    backends directly.
+    bodies; only backends import code.
     """
-
-    def __init__(self, remote: "RemoteRouterServer") -> None:
-        self.remote = remote
-
-    # -- edge hooks ------------------------------------------------------ #
-    def log(self, line: str) -> None:
-        self.remote.log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        return self.remote.check_auth(token)
-
-    @property
-    def heartbeat_seconds(self) -> float:
-        return _http.HEARTBEAT_SECONDS
-
-    @property
-    def stream_send_timeout(self) -> float:
-        return _http.STREAM_SEND_TIMEOUT
 
     # -- routing --------------------------------------------------------- #
     def classify(self, method: str, path: str):
-        parts = [p for p in path.split("/") if p]
-        if not parts or parts[0] != "v1":
+        """The shared route table minus the ticket surface.
+
+        Workers talk to backends directly, so a ticket route answers 404
+        like any unknown path.
+        """
+        route = super().classify(method, path)
+        if route is not None and route[1].startswith("/v1/tickets/"):
             return None
-        parts = parts[1:]
-        if method == "GET":
-            if parts == ["health"]:
-                return ("control", "/v1/health", None)
-            if parts == ["status"]:
-                return ("control", "/v1/status", None)
-            if parts == ["metrics"]:
-                return ("control", "/v1/metrics", None)
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if len(parts) == 2 and parts[0] == "jobs":
-                return ("control", "/v1/jobs/{id}", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "wait":
-                return ("wait", "/v1/jobs/{id}/wait", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                return ("events", "/v1/jobs/{id}/events", parts[1])
-        elif method == "POST":
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if parts == ["resume"]:
-                return ("control", "/v1/resume", None)
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                return ("control", "/v1/jobs/{id}/cancel", parts[1])
-        return None
+        return route
 
     # -- control --------------------------------------------------------- #
     def handle_control(self, method: str, template: str, args: object,
@@ -914,18 +873,6 @@ class _RouterApp:
         return json_reply(200, answer)
 
     # -- wait ------------------------------------------------------------ #
-    def _wait_args(self, args: object,
-                   params: Dict[str, str]) -> Tuple[int, float]:
-        job_id = _job_id_segment(args)
-        timeout = min(_float_param(params, "timeout", 10.0),
-                      _http.MAX_WAIT_SECONDS)
-        return job_id, max(0.0, timeout)
-
-    def wait_blocking(self, args: object, params: Dict[str, str],
-                      request_id: Optional[str]) -> Dict[str, object]:
-        job_id, timeout = self._wait_args(args, params)
-        return self.remote.router.wait(job_id, timeout=timeout)
-
     def wait_begin(self, args: object, params: Dict[str, str],
                    request_id: Optional[str]):
         job_id, timeout = self._wait_args(args, params)
@@ -985,56 +932,8 @@ class _RouterApp:
             return
         sink.backfill_done(sent)
 
-    def stream_threaded(self, handler, args: object,
-                        params: Dict[str, str]) -> None:
-        """Threaded-edge journal stream: replay, live tail, heartbeats.
 
-        Identical wire shape to a backend's stream, but served from the
-        router's journal — where index == seq — so a client reconnecting
-        with ``last_seq`` across backend restarts *and* migrations still
-        observes one gapless feed.
-        """
-        job_id = _job_id_segment(args)
-        last_seq = _int_param(params, "last_seq", -1)
-        job = self.remote.router._job(job_id)
-        try:
-            handler.connection.settimeout(self.stream_send_timeout)
-            handler._last_status = 200
-            handler.send_response(200)
-            handler.send_header("Content-Type", "application/x-ndjson")
-            handler.send_header("Cache-Control", "no-store")
-            if handler._request_id:
-                handler.send_header("X-Request-Id", handler._request_id)
-            handler.send_header("Connection", "close")
-            handler.end_headers()
-            next_index = max(0, last_seq + 1)
-            while True:
-                with job.cond:
-                    if (next_index >= len(job.journal_bytes)
-                            and not job.terminal):
-                        job.cond.wait(self.heartbeat_seconds)
-                    batch = list(job.journal_bytes[next_index:])
-                    done = job.terminal and \
-                        next_index + len(batch) >= len(job.journal_bytes)
-                for data in batch:
-                    handler.wfile.write(data)
-                if batch:
-                    handler.wfile.flush()
-                    next_index += len(batch)
-                elif not done:
-                    handler.wfile.write(b"\n")  # idle heartbeat
-                    handler.wfile.flush()
-                if done:
-                    return
-                if self.remote.router._stop.is_set():
-                    return
-        except OSError:
-            return  # client went away; it can resume with last_seq
-        finally:
-            handler.close_connection = True
-
-
-class RemoteRouterServer:
+class RemoteRouterServer(_http._HTTPFront):
     """Serve a :class:`TuneRouter` over HTTP — a drop-in fleet front door.
 
     Clients (the SDK, the CLI, plain HTTP) talk to it exactly as they would
@@ -1049,9 +948,6 @@ class RemoteRouterServer:
         log: optional callable receiving one line per handled request.
         router: an externally owned :class:`TuneRouter` to serve instead of
             constructing one.
-        edge: ``"async"`` (event-loop edge, the default) or ``"threaded"``
-            (thread-per-connection fallback); defaults from ``ANTTUNE_EDGE``
-            when unset — the same knob as the backend server's.
         **router_kwargs: forwarded to :class:`TuneRouter` when constructed
             here (``health_interval=``, ``replicas=``, ...).
     """
@@ -1059,109 +955,19 @@ class RemoteRouterServer:
     def __init__(self, backends: Sequence[str] = (),
                  host: str = "127.0.0.1", port: int = 0,
                  token: Optional[str] = None,
-                 log: Optional[object] = None,
+                 log: Optional[Callable[[str], None]] = None,
                  router: Optional[TuneRouter] = None,
-                 edge: Optional[str] = None,
                  **router_kwargs: object) -> None:
-        if edge is None:
-            edge = os.environ.get("ANTTUNE_EDGE") or "async"
-        if edge not in ("async", "threaded"):
-            raise ValueError(f"edge must be 'async' or 'threaded', "
-                             f"got {edge!r}")
-        self.edge = edge
         self._owns_router = router is None
         self.router = (router if router is not None
                        else TuneRouter(backends, token=token,
                                        **router_kwargs))  # type: ignore[arg-type]
-        self.token = token
-        self._log = log
-        self.app = _RouterApp(self)
-        self._httpd = None
-        self._edge: Optional[AsyncHTTPEdge] = None
-        try:
-            if edge == "threaded":
-                handler = type("BoundRouterHandler", (_http._Handler,),
-                               {"remote": self})
-                server_cls = type("BoundRouterHTTPServer",
-                                  (_http.ThreadingHTTPServer,),
-                                  {"request_queue_size": 1024})
-                self._httpd = server_cls((host, port), handler)
-                self._httpd.daemon_threads = True
-            else:
-                self._edge = AsyncHTTPEdge((host, port), self.app,
-                                           name="anttune-router-edge")
-        except OSError:
-            if self._owns_router:
-                self.router.close()
-            raise
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
+        super().__init__(_RouterApp(self), (host, port), token, log,
+                         name="anttune-router-edge")
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — useful with ``port=0``."""
-        if self._edge is not None:
-            return self._edge.address
-        return self._httpd.server_address[:2]
+    def _start_service(self) -> None:
+        self.router.start()  # the health monitor, owned router or not
 
-    @property
-    def url(self) -> str:
-        """Base URL clients connect to."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def log(self, line: str) -> None:
-        """Request-log hook; default drops the line."""
-        if self._log is not None:
-            self._log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        """Bearer-token gate, same contract as the backend server's."""
-        if self.token is None:
-            return True
-        return token == self.token
-
-    def start(self) -> "RemoteRouterServer":
-        """Start the router's health monitor and serve in a thread."""
-        self.router.start()
-        if self._edge is not None:
-            self._edge.start()
-            self._started = True
-            return self
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="anttune-router-http", daemon=True)
-            self._thread.start()
-            self._started = True
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI ``route`` command's mode)."""
-        self.router.start()
-        self._started = True
-        if self._edge is not None:
-            self._edge.serve_forever()
-        else:
-            self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        """Stop accepting requests; close the router when owned here."""
-        if self._edge is not None:
-            self._edge.stop()
-        else:
-            if self._started:
-                self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
-                self._thread = None
-        self._started = False
+    def _close_owned(self) -> None:
         if self._owns_router:
             self.router.close()
-
-    def __enter__(self) -> "RemoteRouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -5,8 +5,8 @@ threads, so these tests drive it the way the threat model does: hundreds of
 loopback NDJSON subscribers multiplexed from **one** client thread (a
 ``selectors`` mux mirroring the server's own loop), parked ``/wait``
 continuations counted against the process's live thread population, a
-stalled reader exhausting its send grace, and a taxonomy parity run pinning
-the threaded fallback to the same wire behaviour.
+stalled reader exhausting its send grace, and the wire taxonomy end to end
+through the SDK and plain HTTP.
 """
 
 from __future__ import annotations
@@ -410,21 +410,13 @@ class TestSlowReaders:
 
 
 # --------------------------------------------------------------------------- #
-# Edge parity: both transports, one wire behaviour
+# Wire behaviour: one round trip and the error taxonomy
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("edge", ["async", "threaded"])
 class TestEdgeParity:
-    """The taxonomy tests that matter most, pinned identical across edges.
+    """The taxonomy tests that matter most, through the SDK and raw HTTP."""
 
-    CI additionally runs the whole ``test_remote.py`` surface against the
-    threaded edge (``ANTTUNE_EDGE=threaded``) — this class is the fast
-    in-tree witness that the fallback stays wired up.
-    """
-
-    def test_submit_stream_wait_roundtrip(self, helper_module, edge):
-        with RemoteTuneServer(num_workers=2, backend="thread",
-                              edge=edge) as remote:
-            assert remote.edge == edge
+    def test_submit_stream_wait_roundtrip(self, helper_module):
+        with RemoteTuneServer(num_workers=2, backend="thread") as remote:
             client = AntTuneClient(remote.url, timeout=10.0)
             job_id = client.submit(f"{helper_module}:SPACE",
                                    f"{helper_module}:objective",
@@ -435,12 +427,12 @@ class TestEdgeParity:
             best = client.wait(job_id, timeout=30.0)
             assert best.value is not None
 
-    def test_error_taxonomy(self, edge):
+    def test_error_taxonomy(self):
         import urllib.error
         import urllib.request
 
         with RemoteTuneServer(num_workers=1, backend="thread",
-                              edge=edge, token="sesame") as remote:
+                              token="sesame") as remote:
             def fetch(path, token="sesame"):
                 request = urllib.request.Request(remote.url + path)
                 if token:

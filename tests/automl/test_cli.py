@@ -169,6 +169,19 @@ class TestEntrypoint:
         assert result.returncode == 0, result.stderr
         assert "no studies stored" in result.stdout
 
+    def test_import_leaves_scipy_unloaded(self):
+        import subprocess
+
+        # Only BayesianOptimization needs scipy: the serve/route/work
+        # processes and ALT (through repro.system) start on numpy alone.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.automl.cli, repro.system; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 class TestGcCommand:
     @staticmethod

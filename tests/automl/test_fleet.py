@@ -664,7 +664,14 @@ class TestFleetDrills:
             client = fleet.client()
             jobs = self.submit_jobs(fleet, client, 6)
             placed = {job: client.poll(job)["backend"] for job in jobs}
-            time.sleep(1.0)  # let tickets get claimed: genuinely mid-flight
+            # Kill once the victim's first job is genuinely mid-flight: a
+            # worker claimed one of its tickets and is reporting from it.
+            # A fixed sleep would race the workers' start-up time.
+            stream = client.subscribe(jobs[0])
+            for event in stream:
+                if isinstance(event, TrialReport):
+                    break
+            stream.close()
 
             victim_url = placed[jobs[0]]
             fleet.kill_backend(fleet.backend_index_of(victim_url))
