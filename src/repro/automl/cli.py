@@ -52,7 +52,7 @@ the exact bytes the ``/v1/jobs/{id}/events`` stream would serve.
 
 ``metrics`` prints service metrics: with ``--server`` the live server's
 ``/v1/metrics`` Prometheus text exposition verbatim (every instrumented hot
-path — scheduler ticks, ask/tell latency, trial timings, event-log fsyncs,
+path — trial-loop passes, ask/tell latency, trial timings, event-log fsyncs,
 HTTP routes); without it a storage-side snapshot derived from the local
 ``--db`` file and its event log (study/trial counts, logged seq high-water)
 in the same exposition syntax.  ``--watch SECONDS`` re-renders on an

@@ -321,7 +321,10 @@ class EventLog:
         """Resume appending to the job's newest segment (or start fresh)."""
         self._job_dir(job_id).mkdir(parents=True, exist_ok=True)
         segments = self._segments(job_id)
-        appender = _Appender()
+        # The interval clock starts now: a job's first append (its QUEUED
+        # event, inside the submit request) waits for the interval like any
+        # other instead of paying an fsync.
+        appender = _Appender(last_fsync=time.monotonic())
         if segments:
             _, path = segments[-1]
             appender.path = path

@@ -8,11 +8,10 @@ the in-process equivalent of that pool:
   the ``n_workers=1`` case, byte-for-byte identical to the historical
   sequential study loop.
 * :class:`ThreadPoolTrialExecutor` runs up to ``n_workers`` trials
-  concurrently on a :class:`concurrent.futures.ThreadPoolExecutor`.  It
-  enforces the per-trial time limit by deadline (stragglers are cancelled
-  cooperatively and their late results discarded) and survives worker death:
-  if the underlying pool becomes unusable the executor transparently rebuilds
-  it and resubmits.
+  concurrently on a :class:`concurrent.futures.ThreadPoolExecutor`.  Its
+  stragglers are killed cooperatively (their late results discarded), and it
+  survives worker death: if the underlying pool becomes unusable the executor
+  transparently rebuilds it and resubmits.
 * :class:`ProcessPoolTrialExecutor` runs trials in separate worker processes,
   sidestepping the GIL for CPU-bound objectives.  Objectives (and their
   sampled parameters) must be picklable; each worker process derives its own
@@ -22,16 +21,17 @@ the in-process equivalent of that pool:
 Live trial telemetry
 --------------------
 
-Every executor exposes the same two telemetry hooks, so schedulers treat all
-backends uniformly:
+Every executor exposes the same telemetry hooks, so the trial loop
+(:mod:`repro.automl.scheduler`) treats all backends uniformly:
 
-* :meth:`TrialExecutor.drain_telemetry` mirrors intermediate values reported
-  by in-flight trials into the caller's :class:`~repro.automl.trial.Trial`
-  objects.  Thread and sync backends share the trial object with the
-  objective, so reports land directly and the drain is a no-op; the process
-  backend streams ``(ticket, step, value)`` records through a shared-memory
-  ring (:class:`~repro.automl.transport.TelemetryTransport`) and the drain
-  empties it.
+* A report landing in the caller's :class:`~repro.automl.trial.Trial` calls
+  the trial's ``_report_hook``, which wakes the loop.  Thread and sync
+  backends share the trial object with the objective, so ``Trial.report``
+  calls it directly.  The process backend streams ``(ticket, step, value)``
+  records through a shared-memory ring
+  (:class:`~repro.automl.transport.TelemetryTransport`); a drain thread
+  blocks on the ring's doorbell and empties it
+  (:meth:`TrialExecutor.drain_telemetry`) each time it rings.
 * :meth:`TrialExecutor.kill_trial` delivers a kill signal (deadline, prune,
   cancel or preempt).  Local backends mark the shared trial; the process
   backend also sets the submission's kill flag in the shared-memory
@@ -42,7 +42,8 @@ backends uniformly:
 Executors only *run* trials; proposing configurations (``ask``) and feeding
 results back into the search algorithm (``tell``) stay inside the study, which
 serialises them under a lock so any algorithm written for the sequential path
-works unchanged.
+works unchanged.  Deadlines, refill and report publishing live in the trial
+loop.
 """
 
 from __future__ import annotations
@@ -53,14 +54,8 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.sharedctypes import Synchronized
@@ -93,16 +88,6 @@ __all__ = [
 
 EXECUTOR_BACKENDS = ("auto", "sync", "thread", "process", "ticket")
 
-# A trial that has not started is waiting on the pool, which may be serving
-# another owner (a co-tenant job): its own clock hasn't begun, so it must not
-# be failed at trial_time_limit — but the wait cannot be unbounded either (a
-# wedged pool would hang the study).  This factor bounds the queue wait.
-STARVATION_GRACE_FACTOR = 5.0
-
-# How often a waiting batch wakes up to run its tick callback (telemetry
-# draining, mid-trial pruning, cancellation checks).
-TICK_INTERVAL = 0.05
-
 # Parent-side trial metrics, labelled per backend.  Recorded from future
 # done-callbacks so the process backend (whose objective runs in another
 # interpreter) is observed exactly like the local ones.
@@ -128,7 +113,6 @@ class TrialExecutorClosed(RuntimeError):
     """Submitting to an executor after ``close()``: no pool rebuild allowed."""
 
 Objective = Callable[[Trial], float]
-TickFn = Optional[Callable[[], bool]]
 
 
 def execute_trial(objective: Objective, trial: Trial,
@@ -225,11 +209,11 @@ def expire_trial(trial: Trial, future: "Future[Trial]", limit: float,
 
 
 class TrialExecutor:
-    """Minimal pool interface: submit trials, wait for a batch, shut down.
+    """Minimal pool interface: submit trials, deliver kills, shut down.
 
-    Subclasses provide the pool; the base class supplies batch waiting with
-    deadline enforcement and the default (local, shared-object) telemetry
-    behaviour.
+    Subclasses provide the pool; the base class supplies the default (local,
+    shared-object) telemetry behaviour.  Waiting, deadlines and refill live
+    in the trial loop (:mod:`repro.automl.scheduler`).
     """
 
     n_workers: int = 1
@@ -320,124 +304,15 @@ class TrialExecutor:
         """
         trial.kill(reason)
 
-    # ------------------------------------------------------------------ #
-    # Batch execution
-    # ------------------------------------------------------------------ #
-    def run_batch(self, objective: Objective, trials: Sequence[Trial],
-                  trial_time_limit: Optional[float] = None,
-                  hard_deadline: Optional[float] = None,
-                  tick_fn: TickFn = None) -> List[Trial]:
-        """Run ``trials`` (at most ``n_workers`` of them) and block until each
-        one has a terminal state.
+    def sweep_due_in(self) -> Optional[float]:
+        """Seconds until :meth:`drain_telemetry` has timed work no report
+        announces (the ticket board's lease expiry); None for none."""
+        return None
 
-        ``trial_time_limit`` is measured from each trial's actual *start*, not
-        from batch submission, so queue wait behind other work (e.g. another
-        job sharing the pool) doesn't count against the limit.  Queue wait is
-        still bounded: a trial that hasn't started within one limit of the
-        batch's last observed start — or within ``STARVATION_GRACE_FACTOR``
-        limits of submission when nothing of ours ever started — is recorded
-        FAILED ("never started") for the study's retry logic to resubmit.
-        ``hard_deadline`` (absolute ``perf_counter`` time, from the study's
-        total time limit) expires everything still pending when reached, so a
-        wedged pool can never hang the study past its total budget.
-
-        Args:
-            objective: the user callable to evaluate.
-            trials: the batch to run.
-            trial_time_limit: per-trial wall-clock budget.
-            hard_deadline: absolute time after which everything expires.
-            tick_fn: invoked every :data:`TICK_INTERVAL` while waiting; used
-                by schedulers to drain telemetry and prune mid-trial.  A
-                ``True`` return cancels every still-pending trial (job
-                cancellation) and ends the batch immediately.
-
-        Returns:
-            The input trials, each in a terminal state.
-        """
-        futures = [self.submit(objective, t, trial_time_limit) for t in trials]
-        if trial_time_limit is None and hard_deadline is None and tick_fn is None:
-            wait(futures)
-        else:
-            self._wait_with_deadlines(list(zip(futures, trials)),
-                                      trial_time_limit, hard_deadline, tick_fn)
-        for future in futures:
-            if future.done() and not future.cancelled() and future.exception() is not None:
-                # Only non-Exception BaseExceptions (e.g. KeyboardInterrupt)
-                # escape execute_trial: surface them on the dispatching thread
-                # so the study aborts instead of looping over a dead worker.
-                raise future.exception()
-        return list(trials)
-
-    def _wait_with_deadlines(self, pairs: List, limit: Optional[float],
-                             hard_deadline: Optional[float],
-                             tick_fn: TickFn = None) -> None:
-        """Enforce start-based deadlines and tick callbacks over (future, trial) pairs."""
-        pending = dict(pairs)
-        submit_time = time.perf_counter()
-        grace = None if limit is None else limit * STARVATION_GRACE_FACTOR
-        latest_start: Optional[float] = None  # None until the pool serves us
-        while pending:
-            if tick_fn is not None and tick_fn():
-                # Job cancellation: nothing pending may keep running.
-                for future, trial in pending.items():
-                    self.kill_trial(trial, KILL_CANCELLED)
-                    expire_trial(trial, future, limit or 0.0,
-                                 reason=KILL_CANCELLED)
-                return
-            now = time.perf_counter()
-            if hard_deadline is not None and now >= hard_deadline:
-                # Total study budget spent: nothing may outlive it.
-                for future, trial in pending.items():
-                    self.kill_trial(trial, KILL_DEADLINE)
-                    expire_trial(trial, future, limit or 0.0)
-                return
-            for future, trial in list(pending.items()):
-                if future.done():
-                    pending.pop(future)
-                    continue
-                if trial.started_at is None and future.running():
-                    # Process workers never ship started_at back mid-run; the
-                    # first time the future reports running is the best proxy.
-                    trial.started_at = now
-                if trial.started_at is not None:
-                    latest_start = max(latest_start or trial.started_at,
-                                       trial.started_at)
-            next_deadline: Optional[float] = hard_deadline
-            for future, trial in list(pending.items()):
-                if limit is None:
-                    continue  # only the hard deadline applies
-                start = trial.started_at
-                if start is not None:
-                    deadline = start + limit
-                elif latest_start is not None:
-                    # The pool is serving this batch but not this trial: a
-                    # non-cooperative straggler of ours is starving it.
-                    deadline = min(latest_start + limit, submit_time + grace)
-                else:
-                    # Nothing of ours started: the pool is busy with *other*
-                    # work (another job) — wait, but not unboundedly.
-                    deadline = submit_time + grace
-                if now < deadline:
-                    next_deadline = (deadline if next_deadline is None
-                                     else min(next_deadline, deadline))
-                    continue
-                self.kill_trial(trial, KILL_DEADLINE)
-                expire_trial(trial, future, limit)
-                # Stop waiting for it; a zombie straggler's late result is
-                # discarded on arrival via the kill flag.
-                pending.pop(future)
-            if pending:
-                timeout = (None if next_deadline is None
-                           else max(0.0, next_deadline - now) + 0.01)
-                if limit is not None:
-                    # Cap the wait so a trial that starts mid-sleep still gets
-                    # its deadline enforced promptly.
-                    timeout = limit if timeout is None else min(timeout, limit)
-                if tick_fn is not None:
-                    # Wake regularly to drain telemetry and observe kills.
-                    timeout = (TICK_INTERVAL if timeout is None
-                               else min(timeout, TICK_INTERVAL))
-                wait(list(pending), timeout=timeout, return_when=FIRST_COMPLETED)
+    def watch_capacity(self, wake: Callable[[], None]) -> Callable[[], None]:
+        """Call ``wake`` whenever :attr:`n_workers` may change; returns the
+        function that stops the calls.  A fixed pool never changes."""
+        return lambda: None
 
     def shutdown(self) -> None:
         """Release pool resources (idempotent; a later submit may rebuild)."""
@@ -554,6 +429,9 @@ _THREAD_RNGS = threading.local()
 # the shared-memory transport carries (ticket, step, value) reports up and
 # per-submission kill flags down (read on every report, one array load).
 _WORKER_TRANSPORT: Optional[TelemetryTransport] = None
+# The step of the ring record a worker pushes when it starts a trial (report
+# steps count from 0): the parent records that moment as the trial's start.
+_START_STEP = -1
 
 
 def _init_process_worker(base_seed: int, worker_counter: "Synchronized",
@@ -618,6 +496,11 @@ def _run_trial_in_process(objective: Objective, params: Dict[str, object],
                           worker: Optional[str],
                           trial_time_limit: Optional[float]) -> Dict[str, object]:
     """Worker-side entry point: rebuild the trial, run it, ship the record back."""
+    if _WORKER_TRANSPORT is not None:
+        try:  # the parent's clock for the time limit starts with this record
+            _WORKER_TRANSPORT.push(ticket, _START_STEP, 0.0)
+        except Exception:  # noqa: BLE001 - telemetry never fails a trial
+            pass
     trial = Trial(trial_id=trial_id, params=params, worker=worker,
                   state=TrialState.RUNNING)
     trial._report_hook = _telemetry_hook(ticket, kill_slot)
@@ -628,7 +511,7 @@ def _run_trial_in_process(objective: Objective, params: Dict[str, object],
 class _MergedFuture(Future):
     """A future resolving to the *local* trial once the remote record merged.
 
-    ``cancel`` delegates to the underlying pool future so the batch deadline
+    ``cancel`` delegates to the underlying pool future so the loop's deadline
     logic can still distinguish never-started work (retryable FAILED) from a
     running straggler (TIMED_OUT).
     """
@@ -655,17 +538,18 @@ class ProcessPoolTrialExecutor(TrialExecutor):
     """Runs trials in worker processes (CPU-bound objectives, no GIL contention).
 
     Objectives and their parameters must be picklable.  The remote trial is a
-    fresh object in the worker process, but it is *not* blind any more: every
-    ``trial.report(...)`` pushes ``(ticket, step, value)`` into a
-    shared-memory ring (:class:`~repro.automl.transport.TelemetryTransport`),
-    :meth:`drain_telemetry` mirrors those values into the caller's trial
-    objects mid-run, and :meth:`kill_trial` sets the submission's kill flag in
-    the same transport so the remote objective's next report raises and the
-    trial stops early (pruning, cancellation, deadlines, preemption).  There
-    is no Manager proxy and no per-report RPC: the worker's kill check is a
-    single shared-array read.  A broken pool (worker killed hard) is rebuilt
-    transparently and the affected trials are recorded as FAILED, which the
-    study's retry logic resubmits.
+    fresh object in the worker process, but it is *not* blind any more: its
+    start and every ``trial.report(...)`` push a ``(ticket, step, value)``
+    record into a shared-memory ring
+    (:class:`~repro.automl.transport.TelemetryTransport`), a drain thread
+    woken by the ring's doorbell mirrors them into the caller's trial objects
+    mid-run (:meth:`drain_telemetry`), and :meth:`kill_trial` sets the
+    submission's kill flag in the same transport so the remote objective's
+    next report raises and the trial stops early (pruning, cancellation,
+    deadlines, preemption).  There is no Manager proxy and no per-report RPC:
+    the worker's kill check is a single shared-array read.  A broken pool
+    (worker killed hard) is rebuilt transparently and the affected trials are
+    recorded as FAILED, which the study's retry logic resubmits.
     """
 
     backend_name = "process"
@@ -694,6 +578,7 @@ class ProcessPoolTrialExecutor(TrialExecutor):
         # remote signal is never lost in that window.
         self._pending_kills: Dict[int, str] = {}
         self._transport: Optional[TelemetryTransport] = None
+        self._drainer: Optional[threading.Thread] = None
         # Ring-overflow drops accumulated from transports of discarded pools,
         # so telemetry_dropped stays cumulative across rebuilds.
         self._dropped_baseline = 0
@@ -720,14 +605,32 @@ class ProcessPoolTrialExecutor(TrialExecutor):
                     initializer=_init_process_worker,
                     initargs=(self.base_seed, ctx.Value("i", 0),
                               self._transport))
+                self._drainer = threading.Thread(
+                    target=self._pump, args=(self._transport,),
+                    name="anttune-telemetry", daemon=True)
+                self._drainer.start()
             return self._pool, self._transport
+
+    def _pump(self, transport: TelemetryTransport) -> None:
+        """The drain thread: mirror records as the doorbell rings, so no
+        loop has to poll.  It runs while ``transport`` is the live one and
+        re-checks after every drain, so one ring retires it."""
+        while self._transport is transport:
+            transport.wait()
+            self.drain_telemetry()
 
     def _discard_pool(self) -> None:
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            if self._transport is not None:
-                self._dropped_baseline += self._transport.dropped
-            self._transport = None
+            transport, self._transport = self._transport, None
+            drainer, self._drainer = self._drainer, None
+            if transport is not None:
+                self._dropped_baseline += transport.dropped
+        if drainer is not None:
+            transport.ring()
+            # Bounded: a worker killed inside a push can leave the ring's
+            # lock held, and a rebuild must not hang on the dead transport.
+            drainer.join(timeout=5.0)
         if pool is not None:
             pool.shutdown(wait=False)
         # The transport's shared memory is released with its last reference
@@ -799,6 +702,10 @@ class ProcessPoolTrialExecutor(TrialExecutor):
     def drain_telemetry(self) -> int:
         """Empty the shared-memory report ring, mirroring into local trials.
 
+        Each trial a report landed in hears of it through its
+        ``_report_hook`` (called outside every lock); a start record sets
+        the trial's ``started_at`` instead.
+
         Returns:
             The number of reports mirrored by this call.
         """
@@ -807,9 +714,10 @@ class ProcessPoolTrialExecutor(TrialExecutor):
         if transport is None:
             return 0
         mirrored = 0
+        landed: Dict[int, Tuple[Trial, float, int]] = {}
         # One lock hold for the whole batch — and the drain itself happens
-        # under it: two schedulers sharing this executor both tick, and
-        # draining outside the lock would let their batches apply out of
+        # under it: the drain thread and a direct caller may drain at once,
+        # and draining outside the lock would let their batches apply out of
         # order (later steps first), NaN-padding over real values.  Workers
         # pushing only contend for the transport's own lock, never this one.
         with self._telemetry_lock:
@@ -817,6 +725,9 @@ class ProcessPoolTrialExecutor(TrialExecutor):
                 trial = self._live.get(ticket)
                 if trial is None:
                     continue  # late report from an already-merged trial
+                if step == _START_STEP:
+                    trial.started_at = time.perf_counter()
+                    continue
                 with trial._state_lock:
                     # The final record replaces the whole list on merge; until
                     # then mirror in step order.  A gap means ring overflow
@@ -832,7 +743,12 @@ class ProcessPoolTrialExecutor(TrialExecutor):
                             values.append(float("nan"))
                         values.append(float(value))
                         mirrored += 1
+                        landed[id(trial)] = (trial, float(value), step)
         self._mirror_dropped()
+        for trial, value, step in landed.values():
+            hook = trial._report_hook
+            if hook is not None:  # wakes the trial's loop
+                hook(trial, value, step)
         return mirrored
 
     def _mirror_dropped(self) -> None:
@@ -896,7 +812,7 @@ class ProcessPoolTrialExecutor(TrialExecutor):
                     if not trial.is_finished:
                         trial.state = TrialState.FAILED
                         trial.error = ("trial never started: worker pool "
-                                       "starved at the batch deadline")
+                                       "starved at the deadline")
                 merged.set_result(trial)
                 return
             exc = raw.exception()

@@ -1,6 +1,6 @@
 """Stdlib-only metrics registry and trace spans for the tune service.
 
-Every hot path of the service — scheduler ticks, algorithm ask/tell, executor
+Every hot path of the service — trial-loop passes, algorithm ask/tell, executor
 queue-wait and trial runtime, event-bus publishes, event-log appends, HTTP
 requests — records into one process-global :data:`REGISTRY`.  The registry
 exposes the data three ways (all read-only, all safe to hit while the service

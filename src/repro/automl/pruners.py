@@ -7,9 +7,9 @@ two directions:
 * **Cooperatively** — objectives call ``trial.should_prune()`` between
   training steps and raise :class:`~repro.automl.trial.PrunedTrial`
   themselves (the only option for the inline ``sync`` backend).
-* **From the scheduler** — on every refill tick the scheduler feeds newly
-  streamed intermediate values (live telemetry, including process-backend
-  trials) to the pruner and kills a futureless trial mid-run, so even an
+* **From the trial loop** — each time it publishes a batch of streamed
+  intermediate values (live telemetry, including process-backend trials) it
+  feeds them to the pruner and kills a futureless trial mid-run, so even an
   objective that never checks ``should_prune()`` is stopped early.
 
 Pruners must therefore be safe to call from the scheduling thread while the

@@ -49,6 +49,7 @@ Only the Python stdlib (``urllib``) is used.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import random
 import time
@@ -145,10 +146,19 @@ class AntTuneClient:
                 return response.read()
         except urllib.error.HTTPError as exc:
             raise self._to_error(exc) from None
-        except urllib.error.URLError as exc:
-            raise _ServerUnreachable(
-                f"cannot reach tune server at {self.base_url}: "
-                f"{exc.reason}") from None
+        except (http.client.HTTPException, OSError) as exc:
+            raise self._unreachable(exc) from None
+
+    def _unreachable(self, exc: BaseException) -> "_ServerUnreachable":
+        """A connection-level failure as the retryable error.
+
+        ``urlopen`` wraps failures to connect or send in ``URLError``, but
+        a server dying after it read the request (a killed backend) surfaces
+        unwrapped, as ``RemoteDisconnected``, a reset or ``IncompleteRead``.
+        """
+        reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+        return _ServerUnreachable(
+            f"cannot reach tune server at {self.base_url}: {reason}")
 
     def _headers(self, json_body: bool = False,
                  request_id: Optional[str] = None) -> Dict[str, str]:
@@ -451,10 +461,8 @@ class AntTuneClient:
                                           timeout=_STREAM_READ_TIMEOUT)
         except urllib.error.HTTPError as exc:
             raise self._to_error(exc) from None
-        except urllib.error.URLError as exc:
-            raise _ServerUnreachable(
-                f"cannot reach tune server at {self.base_url}: "
-                f"{exc.reason}") from None
+        except (http.client.HTTPException, OSError) as exc:
+            raise self._unreachable(exc) from None
 
     def tune(self, space: str, objective: str, **kwargs: object) -> Trial:
         """Submit a job, wait for it and return the best trial (convenience)."""

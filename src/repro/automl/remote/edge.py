@@ -363,9 +363,14 @@ class _StreamSink:
 
         self._edge._post(activate)
 
-    def end(self) -> None:
-        """The stream is complete: close once everything queued is written."""
+    def end(self, watermark: int = -1) -> None:
+        """The stream is complete: close once everything queued is written.
+
+        ``watermark`` is the highest seq the backfill emitted.  Live frames
+        queued meanwhile at or below it are duplicates and never flush.
+        """
         def finish() -> None:
+            self._state.watermark = max(self._state.watermark, watermark)
             self._state.ending = True
             self._state.backfill_done = True
             conn = self._conn
@@ -795,6 +800,16 @@ class AsyncHTTPEdge:
             if conn.closing:
                 self._teardown(conn)
 
+    def _write(self, conn: _Connection) -> None:
+        """Send buffered output now; arm EPOLLOUT only for what is left.
+
+        Writing through saves a loop pass and two ``selector.modify`` calls
+        per flush when the socket has room, which it nearly always has.
+        """
+        self._handle_write(conn)
+        if conn.alive and conn.out:
+            self._arm_write(conn)
+
     def _write_head_and_body(self, conn: _Connection, status: int,
                              body: bytes, content_type: str,
                              request_id: Optional[str],
@@ -812,7 +827,7 @@ class AsyncHTTPEdge:
         conn.out += payload
         if close:
             conn.closing = True
-        self._arm_write(conn)
+        self._write(conn)
 
     # -- streaming ------------------------------------------------------- #
     def _stream_start(self, conn: _Connection, sink: _StreamSink,
@@ -837,7 +852,7 @@ class AsyncHTTPEdge:
             _CONN_CHILDREN[conn.kind].dec()
             conn.kind = "stream"
             _CONN_CHILDREN["stream"].inc()
-        self._arm_write(conn)
+        self._write(conn)
         self._schedule_stream_upkeep(conn, sink)
 
     def _schedule_stream_upkeep(self, conn: _Connection,
@@ -864,7 +879,7 @@ class AsyncHTTPEdge:
                 conn.last_progress = now
                 conn.out += b"\n"
                 state.last_write = now
-                self._arm_write(conn)
+                self._write(conn)
             state.heartbeat_timer = self.schedule(
                 min(heartbeat, max(0.5, grace / 4)), upkeep)
 
@@ -880,7 +895,7 @@ class AsyncHTTPEdge:
             conn.last_progress = monotonic()
         conn.out += data
         state.last_write = monotonic()
-        self._arm_write(conn)
+        self._write(conn)
 
     def _flush_stream(self, conn: _Connection, now: float) -> None:
         """Coalesce queued live frames into one batched write."""
@@ -915,14 +930,11 @@ class AsyncHTTPEdge:
             conn.out += b"".join(frames)
             state.last_write = now
             _FLUSH_BATCH.observe(len(frames))
-            self._arm_write(conn)
         if ending:
             state.ending = True
             conn.closing = True
-            if not conn.out:
-                self._teardown(conn)
-            else:
-                self._arm_write(conn)
+        if frames or ending:
+            self._write(conn)  # tears the stream down once it is all sent
 
     # -- dispatch (worker threads) --------------------------------------- #
     def _respond(self, conn: _Connection, serial: int, status: int,

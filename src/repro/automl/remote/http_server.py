@@ -420,13 +420,15 @@ class _TuneApp(_EndpointApp):
                 return  # client gone or stalled out its grace
             sent = event.seq
             if isinstance(event, JobStateChanged) and event.terminal:
-                sink.end()  # the log already holds the stream's end
+                # The log already holds the stream's end; live frames queued
+                # meanwhile repeat what was just sent.
+                sink.end(sent)
                 return
         if subscription is None:
             # Log-only job (finished before a restart): the backfill was the
             # whole story — and it ended terminal above, or the log was
             # compacted down to a tail the client already has.
-            sink.end()
+            sink.end(sent)
             return
         sink.backfill_done(sent)
 

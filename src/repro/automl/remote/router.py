@@ -928,7 +928,7 @@ class _RouterApp(_http._EndpointApp):
             if not sink.emit(data):
                 return
         if terminal_now:
-            sink.end()
+            sink.end(sent)
             return
         sink.backfill_done(sent)
 

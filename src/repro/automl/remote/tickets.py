@@ -102,8 +102,9 @@ class TicketTrialExecutor(TrialExecutor):
     the HTTP surface (``/v1/tickets/...`` in ``remote/http_server.py``)
     calls :meth:`claim` / :meth:`report` / :meth:`heartbeat` /
     :meth:`complete` on it.  Lease expiry is swept from
-    :meth:`drain_telemetry`, which both schedulers already call every
-    scheduling tick (50 ms) — no extra thread.
+    :meth:`drain_telemetry`, which the trial loop calls when
+    :meth:`sweep_due_in` says the earliest lease can have expired — no extra
+    thread and no poll.
     """
 
     backend_name = "ticket"
@@ -197,8 +198,9 @@ class TicketTrialExecutor(TrialExecutor):
         """Kill locally and signal the leasing worker at its next report.
 
         An **open** (unclaimed) ticket has no worker to deliver to: it is
-        finalised on the spot so the scheduler settles it within a tick
-        instead of waiting out a lease that never starts.
+        finalised on the spot, and its future's done-callback wakes the
+        trial loop to settle it, instead of waiting out a lease that never
+        starts.
         """
         trial.kill(reason)
         resolve: List[_Ticket] = []
@@ -217,8 +219,8 @@ class TicketTrialExecutor(TrialExecutor):
 
         Reports land in the local trials synchronously inside
         :meth:`report` (the HTTP handler's thread), so unlike the process
-        backend there is no ring to empty — this tick hook is where dead
-        workers are noticed instead.
+        backend there is no ring to empty — this is where dead workers are
+        noticed instead, when :meth:`sweep_due_in` falls due.
         """
         now = time.monotonic()
         resolve: List[_Ticket] = []
@@ -232,6 +234,21 @@ class TicketTrialExecutor(TrialExecutor):
             mirrored, self._mirrored_since_drain = self._mirrored_since_drain, 0
         self._resolve(resolve)
         return mirrored
+
+    def sweep_due_in(self) -> Optional[float]:
+        """Seconds until the earliest lease can expire (None: no tickets).
+
+        A leased ticket expires at its deadline.  An open one can expire no
+        sooner than one lease after a claim that has not happened yet, so a
+        loop that sleeps that long never misses a lease claimed meanwhile.
+        """
+        with self._lock:
+            if not self._tickets:
+                return None
+            now = time.monotonic()
+            return min(ticket.deadline - now if ticket.leased
+                       else ticket.lease_seconds
+                       for ticket in self._tickets.values())
 
     def _finalise_locked(self, ticket: _Ticket, reason: str,
                          resolve: List[_Ticket]) -> None:
@@ -306,6 +323,8 @@ class TicketTrialExecutor(TrialExecutor):
                 ticket.token = uuid.uuid4().hex
                 ticket.worker = worker
                 ticket.deadline = now + ticket.lease_seconds
+                # The trial loop times the limit from here, not the submit.
+                ticket.trial.started_at = time.perf_counter()
                 if worker:
                     ticket.trial.worker = worker
                 _TICKETS_CLAIMED.inc()
@@ -343,9 +362,11 @@ class TicketTrialExecutor(TrialExecutor):
 
         Mirrors the value into the local trial with the process backend's
         NaN-padding discipline, so out-of-order or shed reports keep their
-        true step index and the next scheduler tick publishes them as
-        ``TrialReport`` events.
+        true step index, then calls the trial's ``_report_hook`` so the
+        trial loop publishes it as a ``TrialReport`` within one report
+        batch.
         """
+        landed = False
         with self._lock:
             ticket = self._leased_ticket_locked(ticket_id, token)
             ticket.deadline = time.monotonic() + ticket.lease_seconds
@@ -359,7 +380,12 @@ class TicketTrialExecutor(TrialExecutor):
                     values.append(float(value))
                     self._mirrored_since_drain += 1
                     ticket.reported_steps += 1
-            return ticket.kill_reason or trial.kill_reason
+                    landed = True
+            kill = ticket.kill_reason or trial.kill_reason
+        hook = trial._report_hook
+        if landed and hook is not None:  # outside the board lock
+            hook(trial, float(value), step)
+        return kill
 
     def heartbeat(self, ticket_id: int, token: str) -> Optional[str]:
         """Renew the lease between reports; return any pending kill."""

@@ -1,6 +1,7 @@
 """Trial schedulers: how a study keeps its worker pool busy (Fig. 8 dispatch).
 
-Two scheduling disciplines drive the executor pool:
+Every parallel run drives one event-driven trial loop over a job's in-flight
+trials, and the two scheduling disciplines are its refill policies:
 
 * :class:`RoundScheduler` — the deterministic default.  Up to ``n_workers``
   configurations are asked from the algorithm, evaluated concurrently as one
@@ -15,19 +16,24 @@ Two scheduling disciplines drive the executor pool:
   *sequence* is not reproducible across runs — use the round scheduler when
   bit-identical replays matter.
 
-Both schedulers share the study's retry policy (a failed configuration is
+Both policies share the study's retry policy (a failed configuration is
 resubmitted up to ``max_retries`` times without consuming extra budget slots),
-per-trial deadlines and the total time limit.  On every refill tick they also:
+per-trial deadlines and the total time limit.  The loop never polls: it
+sleeps until a trial finishes, a report lands in an in-flight trial, the
+study is stopped, the job's fair share changes, or a timer falls due (a
+trial deadline, the total-time deadline, the report batch or the executor's
+sweep; ``docs/architecture.md`` lists the wake sources).  Its passes also:
 
-* **drain live telemetry** (:class:`TelemetryMonitor`) — intermediate values
+* **publish live telemetry** (:class:`TelemetryMonitor`) — intermediate values
   streamed back by in-flight trials (including process-backend ones, over the
   shared-memory transport) are published to the study's event sink as
-  :class:`~repro.automl.events.TrialReport` events and fed to the study's
+  :class:`~repro.automl.events.TrialReport` events at most
+  :data:`REPORT_BATCH_SECONDS` after they arrive, and fed to the study's
   pruner; a futureless trial is killed mid-run instead of running to its
   deadline;
 * **observe cancellation** — a :meth:`Study.request_stop` (e.g. the tune
-  server's ``cancel(job_id)``) expires everything in flight with the
-  ``CANCELLED`` terminal state within one tick;
+  server's ``cancel(job_id)``) wakes the loop, which expires everything in
+  flight with the ``CANCELLED`` terminal state at once;
 * **requeue preempted trials** — a trial killed with
   :data:`~repro.automl.trial.KILL_PREEMPTED` (the tune server yielding slots
   to a ``preempt=True`` high-priority job) is resubmitted with the same
@@ -45,18 +51,14 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.automl import metrics as _metrics
 from repro.automl.events import TrialKilled, TrialReport
-from repro.automl.executors import (
-    STARVATION_GRACE_FACTOR,
-    TICK_INTERVAL,
-    TrialExecutor,
-    expire_trial,
-)
+from repro.automl.executors import TrialExecutor, expire_trial
 from repro.automl.pruners import NoPruner
 from repro.automl.trial import (
     KILL_CANCELLED,
@@ -79,45 +81,57 @@ __all__ = [
     "TelemetryMonitor",
     "FairShareGovernor",
     "GovernedExecutor",
+    "REPORT_BATCH_SECONDS",
+    "STARVATION_GRACE_FACTOR",
 ]
 
 Objective = Callable[[Trial], float]
 CheckpointFn = Optional[Callable[[], None]]
 SchedulerLike = Union[None, str, "TrialScheduler"]
 
-# Tick work (telemetry drain, pruning, deadline checks, refill) — the wait
-# itself is excluded, so the histogram shows scheduling cost, not idleness.
+#: The longest a report waits before its job's loop publishes it.  Reports
+#: arriving within one bound go out as one batch: one loop pass, one edge
+#: flush.  A smaller bound cuts report lag but costs CPU per trial (the
+#: sweep that chose 20 ms is in ``docs/architecture.md``).
+REPORT_BATCH_SECONDS = 0.02
+
+#: A queued trial waits on a pool that may be serving a co-tenant, so its
+#: time limit only starts with the trial; it fails "never started" once this
+#: many limits have passed since its submit, so a wedged pool cannot hang
+#: the study.
+STARVATION_GRACE_FACTOR = 5.0
+
+# Pass work only (sweep, prune, deadlines, settle, refill): the histogram
+# shows scheduling cost, not idleness.
 _TICK_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_scheduler_tick_seconds",
-    "Scheduler tick work duration (drain, prune, deadlines, refill), "
-    "excluding the inter-tick wait.", labels=("scheduler",))
+    "Trial-loop pass duration (sweep, prune, deadlines, settle, refill), "
+    "excluding the wait between passes.", labels=("scheduler",))
 _TICKS_TOTAL = _metrics.REGISTRY.counter(
-    "anttune_scheduler_ticks_total", "Scheduler ticks run.",
+    "anttune_scheduler_ticks_total", "Trial-loop passes run.",
     labels=("scheduler",))
 _SLOTS_BUSY = _metrics.REGISTRY.gauge(
     "anttune_scheduler_slots_busy",
-    "In-flight trials occupying executor slots (last tick's view).",
+    "In-flight trials occupying executor slots (last loop pass's view).",
     labels=("scheduler",))
 
 
 class TelemetryMonitor:
-    """Turns live telemetry into events and prune decisions between ticks.
+    """Turns live telemetry into events and prune decisions between passes.
 
-    Schedulers call :meth:`observe` on every refill tick.  The executor's
-    telemetry is drained (mirroring process-backend reports into the local
-    trial objects through the shared-memory transport), every newly visible
-    intermediate value is published to the study's event sink as a
-    :class:`~repro.automl.events.TrialReport` — one ordered stream regardless
-    of backend — and any trial with new reports is judged by the study's
-    pruner.  A futureless trial is killed with
+    The trial loop calls :meth:`observe` once per pass.  Every newly visible
+    intermediate value (executors mirror process-backend and remote reports
+    into the local trial objects as they arrive) is published to the study's
+    event sink as a :class:`~repro.automl.events.TrialReport` — one ordered
+    stream regardless of backend — and any trial with new reports is judged
+    by the study's pruner.  A futureless trial is killed with
     :data:`~repro.automl.trial.KILL_PRUNED` (published as
     :class:`~repro.automl.events.TrialKilled`), which its objective observes
     at the next ``report()`` — so even a remote straggler stops mid-run.
 
-    With a :class:`~repro.automl.pruners.NoPruner` the monitor only drains
-    and publishes (keeping intermediate values visible to ``status()`` and
-    subscriptions mid-run) and never kills, so the round scheduler's
-    determinism is unaffected.
+    With a :class:`~repro.automl.pruners.NoPruner` the monitor only
+    publishes (keeping intermediate values visible to subscriptions mid-run)
+    and never kills, so the round scheduler's determinism is unaffected.
     """
 
     def __init__(self, study: "Study", executor: TrialExecutor) -> None:
@@ -127,6 +141,11 @@ class TelemetryMonitor:
         # Reports already published/judged per trial id, so each new report
         # hits the bus (and the pruner) exactly once.
         self._seen: Dict[int, int] = {}
+
+    @property
+    def active(self) -> bool:
+        """Whether reports have anywhere to go: a pruner or an event sink."""
+        return self.prune_active or self.study._event_sink is not None
 
     def _publish_new_reports(self, trial: Trial) -> bool:
         """Publish the trial's reports not yet on the stream (step order).
@@ -153,24 +172,19 @@ class TelemetryMonitor:
         return True
 
     def observe(self, trials: Sequence[Trial]) -> None:
-        """Drain telemetry, publish new reports, prune futureless trials.
+        """Publish new reports and prune futureless trials.
 
         Args:
             trials: the caller's in-flight trials (other jobs' trials on a
-                shared executor are mirrored too, but only published and
-                judged by their own scheduler).
+                shared executor are only published and judged by their own
+                loop).
         """
-        self.executor.drain_telemetry()
-        if not self.prune_active and self.study._event_sink is None:
-            # Bare study, no pruner: the drain above keeps intermediate
-            # values visible; there is nobody to publish to or judge for.
-            return
+        if not self.active:
+            return  # bare study: nobody to publish to or judge for
         for trial in trials:
-            if trial.is_finished or trial.is_cancelled:
-                continue
-            if not self._publish_new_reports(trial):
-                continue
-            if not self.prune_active:
+            if (trial.is_finished or trial.is_cancelled
+                    or not self._publish_new_reports(trial)
+                    or not self.prune_active):
                 continue
             with self.study._lock:
                 prune = self.study.pruner.should_prune(
@@ -178,10 +192,8 @@ class TelemetryMonitor:
             if prune:
                 self.executor.kill_trial(trial, KILL_PRUNED)
                 if trial.kill_reason == KILL_PRUNED:
-                    # First kill wins: only the reason that actually landed
-                    # is published, so a trial's stream never carries
-                    # contradictory kill events.  Reports are flushed first
-                    # so the kill never precedes values it was based on.
+                    # First kill wins: only the reason that landed publishes,
+                    # after the reports it was based on.
                     self._publish_new_reports(trial)
                     self.study.publish_event(TrialKilled(
                         trial_id=trial.trial_id, reason=KILL_PRUNED))
@@ -191,8 +203,8 @@ class TelemetryMonitor:
 
         Called right before the trial is told back (and its
         :class:`~repro.automl.events.TrialFinished` publishes), so even a
-        trial faster than one tick gets every report onto the stream, in step
-        order, ahead of its terminal event.
+        trial that settles before its report batch is due gets every report
+        onto the stream, in step order, ahead of its terminal event.
         """
         self._publish_new_reports(trial)
 
@@ -202,9 +214,12 @@ class TelemetryMonitor:
 
 
 class TrialScheduler:
-    """Strategy for feeding asked configurations into a :class:`TrialExecutor`."""
+    """A refill policy for the trial loop, set by :attr:`barrier`."""
 
     name: str = "base"
+    #: True: refill only once the loop is empty and tell each wave back in
+    #: submission order (round).  False: refill every freed slot (async).
+    barrier: Optional[bool] = None
 
     def run(self, study: "Study", objective: Objective, executor: TrialExecutor,
             remaining: int, worker_names: Sequence[str],
@@ -217,120 +232,31 @@ class TrialScheduler:
             executor: the worker pool to keep busy.
             remaining: how many budget slots are left to consume.
             worker_names: round-robin worker attribution labels.
-            checkpoint_fn: invoked after every consumed budget slot.
+            checkpoint_fn: invoked after every consumed budget slot (async
+                policy) or every round (round policy).
+
+        Raises:
+            NotImplementedError: the class sets no refill policy.
         """
-        raise NotImplementedError
+        if self.barrier is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} sets no refill policy (barrier)")
+        _TrialLoop(self, study, objective, executor, remaining, worker_names,
+                   checkpoint_fn).run()
 
 
 class RoundScheduler(TrialScheduler):
     """Round-barrier batches: deterministic, but stragglers idle the batch."""
 
     name = "round"
+    barrier = True
 
-    def run(self, study: "Study", objective: Objective, executor: TrialExecutor,
-            remaining: int, worker_names: Sequence[str],
-            checkpoint_fn: CheckpointFn = None) -> None:
-        """Run batches of up to ``executor.n_workers`` trials behind a barrier.
 
-        Each batch waits with a tick callback, so live telemetry still feeds
-        the pruner mid-batch and a cancellation expires the batch within one
-        tick instead of at the barrier.
-        """
-        names = list(worker_names)
-        config = study.config
-        monitor = TelemetryMonitor(study, executor)
-        tick_seconds = _TICK_SECONDS.labels(scheduler=self.name)
-        ticks_total = _TICKS_TOTAL.labels(scheduler=self.name)
-        slots_busy = _SLOTS_BUSY.labels(scheduler=self.name)
-        start_time = time.perf_counter()
-        hard_deadline = (None if config.total_time_limit is None
-                         else start_time + config.total_time_limit)
-        while (remaining > 0 and not study.stop_requested
-               and not study._total_time_exceeded(start_time)):
-            batch_size = min(executor.n_workers, remaining)
-            asked = [study.ask_params() for _ in range(batch_size)]
-            # One entry per asked config: retries mutate in place, and
-            # ``charged`` marks configs that reached a budget-consuming
-            # outcome — a config the time limit abandons before it ever ran
-            # (or whose preempted requeue never re-ran) must not consume a
-            # slot, so a resume re-runs it.
-            entries = [{"params": params, "retries": 0, "charged": False}
-                       for params in asked]
-            pending = list(entries)
-            while pending and not study._total_time_exceeded(start_time):
-                # Cap each retry/requeue wave at the *current* pool width: a
-                # GovernedExecutor's allowance may have shrunk since the ask
-                # (a preempt=True co-tenant arrived), and resubmitting more
-                # than the share would re-saturate the slots the preemptor
-                # was owed.  The remainder waits for the next wave.
-                width = max(1, executor.n_workers)
-                active, pending = pending[:width], pending[width:]
-                batch: List[Trial] = []
-                with study._lock:
-                    for entry in active:
-                        batch.append(study._new_trial(
-                            dict(entry["params"]),
-                            names[len(study.trials) % len(names)]))
-                for trial in batch:
-                    # Outside the study lock: event delivery may block.
-                    study._publish_started(trial)
+class AsyncScheduler(TrialScheduler):
+    """Slot refill: every finished trial immediately frees a slot for the next."""
 
-                def tick() -> bool:
-                    tick_start = time.perf_counter()
-                    monitor.observe(batch)
-                    slots_busy.set(sum(1 for t in batch
-                                       if not t.is_finished))
-                    ticks_total.inc()
-                    tick_seconds.observe(time.perf_counter() - tick_start)
-                    return study.stop_requested
-
-                executor.run_batch(objective, batch, config.trial_time_limit,
-                                   hard_deadline=hard_deadline, tick_fn=tick)
-                for trial in batch:
-                    monitor.flush(trial)
-                    reason = trial.kill_reason
-                    if (reason is not None and reason != KILL_PRUNED
-                            and trial.state is KILLED_STATES.get(reason)):
-                        # The round path's kills (cancel/deadline inside
-                        # run_batch, preemption from the server) publish here
-                        # — after the report flush, before TrialFinished —
-                        # matching the async path's event contract.  Prune
-                        # kills were already published by the monitor, and a
-                        # killed trial that still finished normally (or never
-                        # started: FAILED) gets no kill event.
-                        study.publish_event(TrialKilled(
-                            trial_id=trial.trial_id, reason=reason))
-                    study.tell(trial)
-                    monitor.forget(trial)
-                if study.stop_requested:
-                    # Cancelled mid-batch: the batch's trials were expired as
-                    # CANCELLED by run_batch; nothing is retried and the
-                    # consumed slots are not charged to the budget.
-                    return
-                requeue = []
-                for entry, trial in zip(active, batch):
-                    if (trial.state == TrialState.FAILED
-                            and entry["retries"] < config.max_retries):
-                        entry["retries"] += 1
-                        requeue.append(entry)
-                    elif (trial.state == TrialState.CANCELLED
-                            and trial.kill_reason == KILL_PREEMPTED):
-                        # Preempted by a higher-priority job: re-run the same
-                        # configuration without charging a retry.
-                        requeue.append(entry)
-                    else:
-                        entry["charged"] = True
-                pending = requeue + pending
-            # Only configs that reached a terminal, budget-consuming outcome
-            # are charged; anything the time limit abandoned (never ran, or a
-            # preempted/retry requeue that never re-ran) stays unconsumed for
-            # a later resume.
-            study._budget_used += sum(
-                1 for entry in entries if entry["charged"])
-            remaining -= batch_size
-            if checkpoint_fn is not None:
-                checkpoint_fn()
-        slots_busy.set(0)
+    name = "async"
+    barrier = False
 
 
 @dataclass
@@ -340,211 +266,278 @@ class _Flight:
     params: Dict[str, object]
     retries: int
     trial: Trial
+    future: "Future[Trial]"
     deadline: Optional[float]
     submitted_at: float
 
 
-class AsyncScheduler(TrialScheduler):
-    """Slot refill: every finished trial immediately frees a slot for the next.
+class _TrialLoop:
+    """One job's in-flight trials, woken by events instead of a poll.
 
-    ask/tell stay serialised under the study lock, so algorithms see a
-    consistent history; only the *order* in which results arrive depends on
-    completion timing.
+    Every wake source rings one bell: a future's done-callback, a report
+    landing in an in-flight trial (its ``_report_hook``), ``Study.request_stop``
+    (``_on_stop``) and a fair-share change (``watch_capacity``).  The wait's
+    timeout is the earliest timer.  A wake-up with nothing finished, nothing
+    due and no slot to fill sleeps again without a pass.
+
+    A pass that published reports keeps the batch timer armed for one more
+    bound, so a steady report stream costs one wake-up per batch rather
+    than two (arm, then fire); when that timer fires with nothing pending
+    the loop sleeps on, untimed, without a pass.
     """
 
-    name = "async"
+    def __init__(self, policy: TrialScheduler, study: "Study",
+                 objective: Objective, executor: TrialExecutor, remaining: int,
+                 worker_names: Sequence[str], checkpoint_fn: CheckpointFn) -> None:
+        self.barrier = bool(policy.barrier)
+        self.study = study
+        self.objective = objective
+        self.executor = executor
+        self.remaining = remaining
+        self.names = list(worker_names)
+        self.checkpoint_fn = checkpoint_fn
+        self.limit = study.config.trial_time_limit
+        self.monitor = TelemetryMonitor(study, executor)
+        self.tick_seconds = _TICK_SECONDS.labels(scheduler=policy.name)
+        self.ticks_total = _TICKS_TOTAL.labels(scheduler=policy.name)
+        self.slots_busy = _SLOTS_BUSY.labels(scheduler=policy.name)
+        self.in_flight: Dict["Future[Trial]", _Flight] = {}  # submit order
+        # Finished or expired, not yet told back: a round holds its wave.
+        self.resolved: List[_Flight] = []
+        # (params, retries) waiting for a slot — retries, preempted requeues
+        # and the rest of a round's batch — so a requeue honours the job's
+        # (possibly smaller) fair-share allowance.
+        self.queue: List[Tuple[Dict[str, object], int]] = []
+        self.asked = 0
+        # A binary semaphore: a wake source releases it, the sleeping loop
+        # acquires it.  Cheaper per wake-up than an Event's Condition.
+        self._bell = threading.Lock()
+        self._bell.acquire()
+        self.report_due: Optional[float] = None
+        self.reported = False  # a report landed since the last pass
+        total = study.config.total_time_limit
+        self.hard_deadline = None if total is None else time.perf_counter() + total
 
-    def run(self, study: "Study", objective: Objective, executor: TrialExecutor,
-            remaining: int, worker_names: Sequence[str],
-            checkpoint_fn: CheckpointFn = None) -> None:
-        """Keep up to ``executor.n_workers`` slots busy until the budget drains.
+    def run(self) -> None:
+        unwatch = self.executor.watch_capacity(self._ring)
+        self.study._on_stop = self._ring
+        try:
+            self._refill()
+            while self.in_flight:
+                self._sleep()
+                self._pass()
+        finally:
+            self.study._on_stop = None
+            unwatch()
+            self.slots_busy.set(0)
 
-        The loop wakes at least every :data:`~repro.automl.executors.TICK_INTERVAL`
-        to drain telemetry, feed the pruner, enforce deadlines and observe
-        cancellation; ``executor.n_workers`` is re-read on every refill, so a
-        :class:`GovernedExecutor` allowance change takes effect within a tick.
+    def _ring(self, *_: object) -> None:
+        try:
+            self._bell.release()
+        except RuntimeError:
+            pass  # already rung
+
+    def _report_arrived(self, trial: Trial, value: float,
+                        step: Optional[int]) -> None:
+        """The first report pending for this job arms the batch timer."""
+        self.reported = True
+        if self.report_due is None:
+            self.report_due = time.perf_counter() + REPORT_BATCH_SECONDS
+            self._ring()
+
+    def _out_of_time(self, now: float) -> bool:
+        return self.hard_deadline is not None and now >= self.hard_deadline
+
+    def _sleep(self) -> None:
+        """Block until a pass is due."""
+        while True:
+            now = time.perf_counter()
+            if (self.study.stop_requested or self._out_of_time(now)
+                    or any(f.done() for f in self.in_flight)):
+                return
+            if self.report_due is not None and self.report_due <= now:
+                if self.reported:
+                    return
+                # The timer kept armed after the last batch fired unused.
+                # Re-check after disarming: a report that saw it armed did
+                # not ring.
+                self.report_due = None
+                if self.reported:
+                    return
+            sweep = self.executor.sweep_due_in()
+            timers = [t for t in (self.report_due, self.hard_deadline,
+                                  None if sweep is None else now + sweep)
+                      if t is not None]
+            timers += [f.deadline for f in self.in_flight.values()
+                       if f.deadline is not None]
+            wake_at = min(timers, default=None)
+            if ((wake_at is not None and wake_at <= now)
+                    or (not self.barrier and self._room()
+                        and (self.queue or self.asked < self.remaining))):
+                return
+            # A ring since the last look leaves the bell released, so this
+            # returns at once.
+            self._bell.acquire(True, -1 if wake_at is None else wake_at - now)
+
+    def _room(self) -> bool:
+        return len(self.in_flight) < max(1, self.executor.n_workers)
+
+    def _pass(self) -> None:
+        start = time.perf_counter()
+        sweep = self.executor.sweep_due_in()
+        if sweep is not None and sweep <= 0:
+            # The ticket board's lease sweep: it resolves lost leases'
+            # futures before this pass collects them.  Reports need no drain
+            # here; every backend mirrors them as they arrive.
+            self.executor.drain_telemetry()
+        for future in [f for f in self.in_flight if f.done()]:
+            if not future.cancelled() and future.exception() is not None:
+                # Only BaseExceptions such as KeyboardInterrupt escape
+                # execute_trial: abort the study instead of spinning.
+                raise future.exception()
+            self.resolved.append(self.in_flight.pop(future))
+        if self.study.stop_requested or self._out_of_time(start):
+            reason = (KILL_CANCELLED if self.study.stop_requested
+                      else KILL_DEADLINE)
+            for flight in list(self.in_flight.values()):
+                self._expire(flight, reason)
+        else:
+            self._enforce_deadlines(start)
+        reported, self.reported = self.reported, False
+        self.report_due = None  # observe() publishes everything pending
+        self.monitor.observe([f.trial for f in self.in_flight.values()])
+        if self.resolved and not (self.barrier and self.in_flight):
+            self._settle_wave()
+        self._refill()
+        if reported and self.in_flight and self.report_due is None:
+            self.report_due = start + REPORT_BATCH_SECONDS  # expect more
+        self.slots_busy.set(len(self.in_flight))
+        self.ticks_total.inc()
+        self.tick_seconds.observe(time.perf_counter() - start)
+
+    def _enforce_deadlines(self, now: float) -> None:
+        """The one starvation rule: a trial's clock starts with the trial.
+
+        A trial past ``start + limit`` times out.  A trial still queued is
+        not failed for pool contention until ``STARVATION_GRACE_FACTOR``
+        limits after its submit; then it fails "never started" (retryable).
         """
-        names = list(worker_names)
-        config = study.config
-        monitor = TelemetryMonitor(study, executor)
-        tick_seconds = _TICK_SECONDS.labels(scheduler=self.name)
-        ticks_total = _TICKS_TOTAL.labels(scheduler=self.name)
-        slots_busy = _SLOTS_BUSY.labels(scheduler=self.name)
-        start_time = time.perf_counter()
-        in_flight: Dict["Future[Trial]", _Flight] = {}
-        # Configurations killed by preemption, waiting to re-run.  They go
-        # through refill() — not straight back to launch() — so the requeue
-        # honours the job's (now smaller) fair-share allowance instead of
-        # instantly re-saturating the slots the preemptor was owed.
-        requeued: List = []
-        submitted = 0
+        for flight in list(self.in_flight.values()):
+            if flight.deadline is None or now < flight.deadline:
+                continue
+            limit = self.limit or 0.0
+            started = flight.trial.started_at
+            running = flight.future.running()
+            if started is None and running:
+                # A process worker's start record not yet drained (or shed
+                # by ring overflow): the future turning running is the best
+                # proxy, and a later start record moves it.
+                flight.trial.started_at = started = now
+            if started is not None and now < started + limit:
+                flight.deadline = started + limit
+                continue
+            grace = flight.submitted_at + limit * STARVATION_GRACE_FACTOR
+            if started is None and not running and now < grace:
+                flight.deadline = min(now + limit, grace)
+                continue
+            self._expire(flight, KILL_DEADLINE)
 
-        def launch(params: Dict[str, object], retries: int) -> None:
-            with study._lock:
-                trial = study._new_trial(dict(params),
-                                         names[len(study.trials) % len(names)])
-            # Outside the study lock (event delivery may block), before the
-            # submit so TrialStarted precedes anything the worker produces.
-            study._publish_started(trial)
-            future = executor.submit(objective, trial, config.trial_time_limit)
-            now = time.perf_counter()
-            deadline = (None if config.trial_time_limit is None
-                        else now + config.trial_time_limit)
-            in_flight[future] = _Flight(params, retries, trial, deadline, now)
+    def _expire(self, flight: _Flight, reason: str) -> None:
+        """Kill one in-flight trial for ``reason`` and record its state."""
+        del self.in_flight[flight.future]
+        trial = flight.trial
+        if not flight.future.done():
+            # A future that already completed finished normally: a kill for
+            # it would contradict its TrialFinished.
+            self.executor.kill_trial(trial, reason)
+        expire_trial(trial, flight.future, self.limit or 0.0, reason=reason)
+        if (trial.kill_reason == reason
+                and trial.state is KILLED_STATES.get(reason)):
+            # Only a kill that decided the terminal state publishes (first
+            # kill wins; a never-started trial recorded FAILED gets none),
+            # after the reports it cut short.
+            self.monitor.flush(trial)
+            self.study.publish_event(TrialKilled(
+                trial_id=trial.trial_id, reason=reason))
+        self.resolved.append(flight)
 
-        def refill() -> None:
-            nonlocal submitted
-            while (len(in_flight) < executor.n_workers
-                   and not study.stop_requested
-                   and not study._total_time_exceeded(start_time)):
-                if requeued:
-                    params, retries = requeued.pop(0)
-                    launch(params, retries)
-                    continue
-                if submitted >= remaining:
+    def _settle_wave(self) -> None:
+        wave, self.resolved = self.resolved, []
+        if self.barrier:
+            wave.sort(key=lambda flight: flight.trial.trial_id)  # submit order
+        self.queue[:0] = [entry for entry in map(self._settle, wave)
+                          if entry is not None]
+        if (self.barrier and self.checkpoint_fn is not None
+                and not self.study.stop_requested
+                and (not self.queue or self._out_of_time(time.perf_counter()))):
+            self.checkpoint_fn()  # the round is over
+
+    def _settle(self, flight: _Flight) -> Optional[Tuple[Dict[str, object], int]]:
+        """Tell a resolved trial back; return its config if it reruns.
+
+        A preempted configuration reruns charging neither a budget slot nor
+        a retry; a failure reruns up to ``max_retries`` times; a cancelled
+        slot is not charged (a resume re-runs it); anything else consumes a
+        slot.  A rerun that a cancel or the time limit abandons is never
+        charged.
+        """
+        trial = flight.trial
+        trial._report_hook = None
+        self.monitor.flush(trial)
+        preempted = (trial.state is TrialState.CANCELLED
+                     and trial.kill_reason == KILL_PREEMPTED)
+        if preempted:
+            # Published by the victim's own loop, never the preemptor's, so
+            # no TrialKilled follows (or contradicts) a normal finish.
+            self.study.publish_event(TrialKilled(
+                trial_id=trial.trial_id, reason=KILL_PREEMPTED))
+        self.study.tell(trial)
+        self.monitor.forget(trial)
+        if preempted:
+            return flight.params, flight.retries
+        if (trial.state is TrialState.FAILED
+                and flight.retries < self.study.config.max_retries):
+            return flight.params, flight.retries + 1
+        if trial.state is not TrialState.CANCELLED:
+            self.study._budget_used += 1
+        if not self.barrier and self.checkpoint_fn is not None:
+            self.checkpoint_fn()
+        return None
+
+    def _refill(self) -> None:
+        if self.barrier and self.in_flight:
+            return
+        while (self._room() and not self.study.stop_requested
+               and not self._out_of_time(time.perf_counter())):
+            if not self.queue:
+                if (self.asked >= self.remaining
+                        or (self.barrier and self.in_flight)):
                     break
-                launch(study.ask_params(), retries=0)
-                submitted += 1
+                # A round asks its whole batch before launching any of it.
+                count = (min(max(1, self.executor.n_workers),
+                             self.remaining - self.asked)
+                         if self.barrier else 1)
+                self.queue = [(self.study.ask_params(), 0)
+                              for _ in range(count)]
+                self.asked += count
+            self._launch(*self.queue.pop(0))
 
-        def settle(flight: _Flight) -> None:
-            """Tell a finished trial back and either retry it or consume a slot."""
-            monitor.flush(flight.trial)
-            if (flight.trial.state == TrialState.CANCELLED
-                    and flight.trial.kill_reason == KILL_PREEMPTED):
-                # The kill event publishes here — the victim's own scheduler
-                # thread — not from the preemptor's, so a subscriber never
-                # sees TrialKilled for (or after) a normally-finished trial:
-                # per-trial order stays started → reports → killed → finished.
-                study.publish_event(TrialKilled(
-                    trial_id=flight.trial.trial_id, reason=KILL_PREEMPTED))
-            study.tell(flight.trial)
-            monitor.forget(flight.trial)
-            if (flight.trial.state == TrialState.CANCELLED
-                    and flight.trial.kill_reason == KILL_PREEMPTED
-                    and not study.stop_requested
-                    and not study._total_time_exceeded(start_time)):
-                # Preempted by a higher-priority job: requeue the same
-                # configuration — no budget slot and no retry is charged.
-                # Queued for refill() so the re-run waits for an allowance
-                # slot: the whole point was to hand this slot to the
-                # preemptor.
-                requeued.append((flight.params, flight.retries))
-            elif flight.trial.state == TrialState.CANCELLED:
-                # Cancelled slots are not charged (matching the round path):
-                # a later resume re-runs them with the remaining budget.
-                if checkpoint_fn is not None:
-                    checkpoint_fn()
-            elif (flight.trial.state == TrialState.FAILED
-                    and flight.retries < config.max_retries
-                    and not study.stop_requested
-                    and not study._total_time_exceeded(start_time)):
-                launch(flight.params, flight.retries + 1)
-            else:
-                study._budget_used += 1
-                if checkpoint_fn is not None:
-                    checkpoint_fn()
-
-        def drain_all(reason: str) -> None:
-            """Expire everything still in flight (cancellation / time budget)."""
-            for future, flight in list(in_flight.items()):
-                in_flight.pop(future)
-                if not future.done():
-                    # A future that already completed finished normally; a
-                    # kill (event) for it would contradict its TrialFinished.
-                    executor.kill_trial(flight.trial, reason)
-                expire_trial(flight.trial, future,
-                             config.trial_time_limit or 0.0, reason=reason)
-                if (flight.trial.kill_reason == reason
-                        and flight.trial.state is KILLED_STATES.get(reason)):
-                    # Publish only when this kill actually decided the
-                    # terminal state: first kill wins (no contradictory
-                    # reasons), and a never-started trial recorded FAILED
-                    # for retry gets no kill event — matching the round
-                    # path.  Pending reports flush ahead of the kill event.
-                    monitor.flush(flight.trial)
-                    study.publish_event(TrialKilled(
-                        trial_id=flight.trial.trial_id, reason=reason))
-                settle(flight)
-
-        refill()
-        while in_flight:
-            if study.stop_requested:
-                # Job cancelled: everything in flight is expired CANCELLED
-                # within this tick; settle() never retries a cancelled trial.
-                drain_all(KILL_CANCELLED)
-                break
-            if study._total_time_exceeded(start_time):
-                # Total study budget spent: nothing may outlive it (matches
-                # the round path's hard deadline) — expire everything still
-                # in flight; settle() won't retry past the limit.
-                drain_all(KILL_DEADLINE)
-                break
-            deadlines = [f.deadline for f in in_flight.values() if f.deadline is not None]
-            if config.total_time_limit is not None:
-                deadlines.append(start_time + config.total_time_limit)
-            timeout = (max(0.0, min(deadlines) - time.perf_counter()) + 0.01
-                       if deadlines else None)
-            # Wake at least every tick: telemetry, pruning and cancellation
-            # must not wait for the next completion or deadline.
-            timeout = TICK_INTERVAL if timeout is None else min(timeout, TICK_INTERVAL)
-            done, _ = wait(list(in_flight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            tick_start = time.perf_counter()
-            for future in done:
-                flight = in_flight.pop(future)
-                exc = future.exception()
-                if exc is not None:
-                    # Only non-Exception BaseExceptions (e.g. KeyboardInterrupt)
-                    # escape execute_trial: surface them on the scheduling
-                    # thread so the study aborts instead of spinning.
-                    raise exc
-                settle(flight)
-            now = time.perf_counter()
-            for future, flight in list(in_flight.items()):
-                if flight.deadline is None or now <= flight.deadline or future.done():
-                    continue
-                limit = config.trial_time_limit or 0.0
-                started = flight.trial.started_at
-                if started is None and future.running():
-                    # Process workers never ship started_at back mid-run; the
-                    # first time the future reports running is the best proxy.
-                    flight.trial.started_at = started = now
-                if started is not None and now <= started + limit:
-                    # The trial spent part of its window queued behind other
-                    # work (e.g. another job sharing the pool): the clock runs
-                    # from actual start, so re-arm to the true deadline.
-                    flight.deadline = started + limit
-                    continue
-                if started is None and not future.running():
-                    # Still queued: don't fail a healthy trial for pool
-                    # contention; its clock starts when it does — but bound
-                    # the wait so a wedged pool can't hang the study.
-                    # (Process workers never report started_at back, but they
-                    # also turn running only when handed to a worker.)
-                    grace_deadline = (flight.submitted_at
-                                      + limit * STARVATION_GRACE_FACTOR)
-                    if now < grace_deadline:
-                        flight.deadline = min(now + limit, grace_deadline)
-                        continue
-                executor.kill_trial(flight.trial, KILL_DEADLINE)
-                expire_trial(flight.trial, future, limit)
-                if (flight.trial.kill_reason == KILL_DEADLINE
-                        and flight.trial.state is TrialState.TIMED_OUT):
-                    # Publish only when the deadline kill decided the
-                    # terminal state: a never-started trial records FAILED
-                    # (retryable) and gets no kill event.  Pending reports
-                    # flush ahead of the kill event.
-                    monitor.flush(flight.trial)
-                    study.publish_event(TrialKilled(
-                        trial_id=flight.trial.trial_id, reason=KILL_DEADLINE))
-                in_flight.pop(future)
-                settle(flight)
-            monitor.observe([f.trial for f in in_flight.values()])
-            refill()
-            slots_busy.set(len(in_flight))
-            ticks_total.inc()
-            tick_seconds.observe(time.perf_counter() - tick_start)
-        slots_busy.set(0)
+    def _launch(self, params: Dict[str, object], retries: int) -> None:
+        study = self.study
+        with study._lock:
+            trial = study._new_trial(
+                dict(params), self.names[len(study.trials) % len(self.names)])
+        if self.monitor.active:
+            trial._report_hook = self._report_arrived
+        # Outside the study lock (event delivery may block), before the
+        # submit so TrialStarted precedes anything the worker produces.
+        study._publish_started(trial)
+        future = self.executor.submit(self.objective, trial, self.limit)
+        now = time.perf_counter()
+        self.in_flight[future] = _Flight(
+            params, retries, trial, future,
+            None if self.limit is None else now + self.limit, now)
+        future.add_done_callback(self._ring)
 
 
 # --------------------------------------------------------------------------- #
@@ -557,10 +550,10 @@ class FairShareGovernor:
     weight; :meth:`allowance` apportions ``total_slots`` proportionally to
     the weights using the largest-remainder method, with deterministic
     tie-breaking by registration order and a guaranteed minimum of one slot
-    per owner (so a low-priority job is slowed, never starved).  Schedulers
-    re-read their allowance on every refill tick through
-    :class:`GovernedExecutor`, so shares rebalance within a tick whenever a
-    job registers or finishes.
+    per owner (so a low-priority job is slowed, never starved).  Trial loops
+    re-read their allowance on every refill through
+    :class:`GovernedExecutor`, and every register/unregister wakes the
+    watching loops, so shares rebalance as soon as a job arrives or leaves.
     """
 
     def __init__(self, total_slots: int) -> None:
@@ -570,6 +563,7 @@ class FairShareGovernor:
         self._lock = threading.Lock()
         # dicts preserve insertion order: registration order breaks ties.
         self._weights: Dict[object, float] = {}
+        self._listeners: List[Callable[[], None]] = []
 
     def register(self, owner: object, weight: float = 1.0) -> None:
         """Add (or re-weight) an owner competing for slots.
@@ -585,11 +579,30 @@ class FairShareGovernor:
             raise ValueError("priority weight must be > 0")
         with self._lock:
             self._weights[owner] = float(weight)
+        self._notify()
 
     def unregister(self, owner: object) -> None:
         """Remove an owner; its slots redistribute on the next allowance call."""
         with self._lock:
             self._weights.pop(owner, None)
+        self._notify()
+
+    def _notify(self) -> None:
+        with self._lock:
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()  # outside the lock: a woken loop reads allowances
+
+    def watch(self, listener: Callable[[], None]) -> Callable[[], None]:
+        """Call ``listener`` after every register/unregister; returns the
+        function that stops the calls."""
+        with self._lock:
+            self._listeners.append(listener)
+
+        def unwatch() -> None:
+            with self._lock:
+                self._listeners.remove(listener)
+        return unwatch
 
     def allowance(self, owner: object) -> int:
         """How many slots ``owner`` may keep in flight right now.
@@ -613,8 +626,8 @@ class FairShareGovernor:
 
         The tune server uses this when a ``preempt=True`` job arrives: each
         owner's overage is the number of its youngest running trials to kill
-        (and requeue) so the pool converges to the new apportionment within
-        one scheduling tick instead of waiting for trials to finish.
+        (and requeue) so the pool converges to the new apportionment as soon
+        as the victims stop, instead of waiting for trials to finish.
 
         Args:
             in_flight: current in-flight trial count per owner.
@@ -649,11 +662,12 @@ class GovernedExecutor(TrialExecutor):
     """A per-job view of a shared executor, capped at its fair-share allowance.
 
     ``n_workers`` is dynamic: it re-reads the governor's current apportionment
-    on every access, so a scheduler that checks its width per refill tick
-    (both built-ins do) shrinks or grows its in-flight set as co-tenant jobs
-    come and go.  All execution, telemetry and kill traffic delegates to the
-    shared inner executor; lifecycle calls are no-ops because the pool belongs
-    to the server, not to any single job.
+    on every access, so the trial loop, which checks its width on every
+    refill, shrinks or grows its in-flight set as co-tenant jobs come and go,
+    and :meth:`watch_capacity` wakes it when they do.  All execution,
+    telemetry and kill traffic delegates to the shared inner executor;
+    lifecycle calls are no-ops because the pool belongs to the server, not to
+    any single job.
     """
 
     def __init__(self, inner: TrialExecutor, governor: FairShareGovernor,
@@ -673,6 +687,12 @@ class GovernedExecutor(TrialExecutor):
 
     def drain_telemetry(self) -> int:
         return self.inner.drain_telemetry()
+
+    def sweep_due_in(self) -> Optional[float]:
+        return self.inner.sweep_due_in()
+
+    def watch_capacity(self, wake: Callable[[], None]) -> Callable[[], None]:
+        return self.governor.watch(wake)
 
     @property
     def telemetry_dropped(self) -> int:  # type: ignore[override]

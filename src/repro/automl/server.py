@@ -17,8 +17,8 @@ service:
   sweep as slots free up.
 * Clients use the non-blocking :meth:`poll` to inspect progress (including
   intermediate values streamed live from in-flight trials) and :meth:`wait`
-  to block for a result; :meth:`cancel` stops a queued or running job within
-  one scheduling tick, leaving it in the terminal ``CANCELLED`` state.
+  to block for a result; :meth:`cancel` stops a queued or running job at
+  once, leaving it in the terminal ``CANCELLED`` state.
   :meth:`AntTuneClient.tune` keeps the blocking submit-and-wait convenience
   API on top.
 * Every job also exposes a push stream: the whole trial/job lifecycle is
@@ -30,7 +30,8 @@ service:
   co-tenants' youngest running trials beyond their new allowance are killed
   with the ``preempted`` reason and requeued by their own schedulers (no
   budget slot or retry charged), so a latency-sensitive job acquires slots
-  within one scheduling tick even when the pool is saturated.
+  as soon as the victims reach their next report, even when the pool is
+  saturated.
 * With a :class:`~repro.automl.storage.StudyStorage` attached, every job's
   study is checkpointed into SQLite as it runs, so a restarted server can
   list stored studies and :meth:`resume` them with only the remaining
@@ -228,8 +229,8 @@ class AntTuneServer:
 
     Concurrent jobs share the pool by weighted fair share: each job's
     ``priority`` registers with a :class:`FairShareGovernor`, and every job's
-    scheduler caps its in-flight trials at its current allowance, re-read on
-    each refill tick.
+    trial loop caps its in-flight trials at its current allowance, re-read
+    on every refill (a job arriving or leaving wakes the loops).
     """
 
     def __init__(self, num_workers: int = 4, max_concurrent_jobs: int = 2,
@@ -1007,10 +1008,10 @@ class AntTuneServer:
         registered with the governor).  Victims are chosen by
         :meth:`_select_victims` — fewest streamed reports first, youngest
         trial id as the tiebreak — and get the ``preempted`` kill reason:
-        their objectives stop at the next ``report()``, their schedulers
-        requeue the same configurations without charging a budget slot or a
-        retry, and the freed pool slots go to the new job within one
-        scheduling tick.
+        their objectives stop at the next ``report()``, their trial loops
+        (woken by the finished futures) requeue the same configurations
+        without charging a budget slot or a retry, and the freed pool slots
+        go to the new job's trials.
         """
         with self._jobs_lock:
             others = [other for other in self._jobs.values()
@@ -1022,9 +1023,6 @@ class AntTuneServer:
             executor = self.executor
         except TrialError:
             return  # shutting down: nothing left to preempt for
-        # Pull the freshest progress counts before costing victims: process
-        # workers' reports only become visible to the parent on a drain.
-        executor.drain_telemetry()
         running: Dict[int, List[Trial]] = {}
         for other in others:
             with other.study._lock:
@@ -1053,9 +1051,10 @@ class AntTuneServer:
 
         A queued job is finalised immediately (its ``_done`` event fires and
         its CANCELLED status persists to storage without waiting for a
-        dispatcher slot).  A running job's study observes the stop request at
-        its next scheduling tick: in-flight trials — including remote
-        process-backend ones — are killed and recorded ``CANCELLED``.
+        dispatcher slot).  A running job's trial loop wakes on the stop
+        request at once: in-flight trials — including remote process-backend
+        ones — are killed and recorded ``CANCELLED``, and each objective
+        stops at its next ``report()``.
 
         Args:
             job_id: the job to cancel.
@@ -1077,7 +1076,7 @@ class AntTuneServer:
             finalise_queued = job.state is JobState.QUEUED
             if finalise_queued:
                 job.state = JobState.CANCELLED
-        # Outside the state lock: the running study stops at its next tick.
+        # Outside the state lock: the running study's loop wakes and stops.
         job.study.request_stop()
         if finalise_queued:
             if self.storage is not None:
@@ -1284,7 +1283,7 @@ class AntTuneServer:
         sizing, how many jobs are in each lifecycle state, and a structured
         ``metrics`` section — the full
         :meth:`~repro.automl.metrics.MetricsRegistry.snapshot` of every
-        instrumented hot path (scheduler ticks, ask/tell latency, trial
+        instrumented hot path (trial-loop passes, ask/tell latency, trial
         queue-wait/run times, event publish/append/fsync timings, drop
         counters).  The flat ``telemetry`` sub-dict (``transport_dropped``,
         ``event_queue_dropped``) is kept as a deprecated alias of the

@@ -10,8 +10,8 @@ The systematic features described in the paper are modelled explicitly:
   backend, including process-pool workers, so the scheduler prunes
   stragglers mid-run instead of waiting for their deadline,
 * cooperative cancellation (:meth:`Study.request_stop`, driven by the tune
-  server's ``cancel(job_id)``): in-flight trials stop within one scheduling
-  tick and are recorded ``CANCELLED``,
+  server's ``cancel(job_id)``): the trial loop wakes at once, and in-flight
+  trials are killed and recorded ``CANCELLED``,
 * a fault-tolerant mechanism (failed trials are recorded and retried up to a
   configurable number of times without aborting the study),
 * parallel trial execution on a worker pool (``optimize(..., n_workers=4)``),
@@ -123,8 +123,10 @@ class Study:
         # drops in-flight trials out of the middle of the history.
         self._next_trial_id = 0
         # Cooperative cancellation: set by request_stop() (e.g. the tune
-        # server's cancel(job_id)); schedulers observe it within one tick.
+        # server's cancel(job_id)), which also rings the running trial
+        # loop's bell (_on_stop) so it acts at once.
         self._stop = threading.Event()
+        self._on_stop: Optional[Callable[[], None]] = None
         # Event sink: the tune server wires this to its EventBus (stamping the
         # owning job id); None means lifecycle events are dropped.  The study,
         # monitor and schedulers publish through publish_event().
@@ -157,13 +159,19 @@ class Study:
     # Cancellation
     # ------------------------------------------------------------------ #
     def request_stop(self) -> None:
-        """Ask a running :meth:`optimize` to stop at its next scheduling tick.
+        """Ask a running :meth:`optimize` to stop now.
 
-        In-flight trials are killed and recorded ``CANCELLED``; consumed
-        budget slots are not charged, so a later :meth:`optimize` (after
-        :meth:`reset_stop`) re-runs them.  Sticky until :meth:`reset_stop`.
+        A parallel run's trial loop wakes at once: in-flight trials are
+        killed and recorded ``CANCELLED`` (their objectives stop at their
+        next ``report()``), and the cancelled slots are not charged, so a
+        later :meth:`optimize` (after :meth:`reset_stop`) re-runs them.  The
+        sequential path stops before its next trial.  Sticky until
+        :meth:`reset_stop`.
         """
         self._stop.set()
+        wake = self._on_stop
+        if wake is not None:
+            wake()
 
     def reset_stop(self) -> None:
         """Clear a previous :meth:`request_stop` so the study may run again."""

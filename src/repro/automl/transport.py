@@ -8,12 +8,13 @@ dict — one proxy RPC round trip *per report* just to check "am I killed?".
 
 * **Report ring.**  A fixed-capacity ring of ``(ticket, step, value)`` records
   in a shared ctypes array, guarded by one shared lock.  Workers
-  :meth:`push`; the parent :meth:`drain`\\ s everything available on each
-  scheduler tick.  When a burst outruns the parent, the *oldest* records are
-  dropped (telemetry is advisory — the final trial record is authoritative)
-  and counted in :attr:`dropped`.
-* **Doorbell.**  A shared event set by every push, so a parent that wants to
-  block between ticks can :meth:`wait` instead of polling.
+  :meth:`push`; the parent :meth:`drain`\\ s everything available.  When a
+  burst outruns the parent, the *oldest* records are dropped (telemetry is
+  advisory — the final trial record is authoritative) and counted in
+  :attr:`dropped`.
+* **Doorbell.**  A shared event set by every push.  The process executor's
+  drain thread blocks in :meth:`wait` and drains each time it rings, so
+  reports reach the trial loops without a poll.
 * **Kill flags.**  A fixed table of per-submission reason codes.  The parent
   assigns each submission a *kill slot* (:meth:`allocate_kill_slot`) shipped
   to the worker with the task; the worker's per-report kill check is then a
@@ -136,6 +137,10 @@ class TelemetryTransport:
             True when a report is (probably) pending, False on timeout.
         """
         return self._doorbell.wait(timeout)
+
+    def ring(self) -> None:
+        """Parent-side: ring the doorbell without a report (wakes a waiter)."""
+        self._doorbell.set()
 
     @property
     def pending(self) -> int:

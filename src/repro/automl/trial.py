@@ -7,9 +7,9 @@ here:
 
 * **Reporting** — objectives call :meth:`Trial.report` with intermediate
   values (e.g. per-epoch validation AUC).  Each report is appended locally
-  and, when an executor wired a report hook, forwarded over the live
-  telemetry channel so the scheduler can feed pruners mid-trial even for
-  trials running in another process.
+  and passed to the trial's report hook: in a worker process that forwards
+  it over the live telemetry channel, and on the caller's side it wakes the
+  trial loop, which feeds pruners mid-trial even for remote trials.
 * **Killing** — the scheduler (or a deadline) marks a trial killed with a
   *reason* (:data:`KILL_DEADLINE`, :data:`KILL_PRUNED`,
   :data:`KILL_CANCELLED`).  The next :meth:`Trial.report` raises inside the
@@ -123,9 +123,11 @@ class Trial:
     # The study wires this to its pruner; objectives call trial.report(...)
     # and trial.should_prune() to cooperate with early stopping.
     _prune_check: Optional[object] = None
-    # Executors wire this to their telemetry channel: called after every
-    # report() append with (trial, value, step) so remote workers can stream
-    # intermediate values back to the scheduler and observe kill signals.
+    # Called with (trial, value, step) after every report lands in this
+    # object.  Worker-side, executors wire it to their telemetry channel (to
+    # stream the value up and observe kill signals); caller-side, the trial
+    # loop sets it to wake itself, and executors that mirror remote reports
+    # call it after mirroring.
     _report_hook: Optional[Callable[["Trial", float, Optional[int]], None]] = \
         field(default=None, repr=False, compare=False)
     # Set (once, first writer wins) when the scheduler or a deadline kills the

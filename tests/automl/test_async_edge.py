@@ -410,6 +410,90 @@ class TestSlowReaders:
 
 
 # --------------------------------------------------------------------------- #
+# The stream sink and the loop driven by hand (no server thread, no sleeps)
+# --------------------------------------------------------------------------- #
+class _FakeTune:
+    """``open_event_stream`` whose subscription replays the log's newest
+    events into the sink before the backfill is read — the overlap the sink
+    must de-duplicate."""
+
+    def __init__(self, events, live_from: int) -> None:
+        self.events = events
+        self.live_from = live_from
+
+    def note_stream_drops(self, job_id, count) -> None:
+        raise AssertionError("no live frame may be dropped")
+
+    def open_event_stream(self, job_id, last_seq=-1, max_queue=1024,
+                          callback=None):
+        for event in self.events[self.live_from:]:
+            callback(event)
+
+        class Subscription:
+            def close(self) -> None:
+                pass
+
+        return iter(self.events), Subscription()
+
+
+class TestStreamSinkByHand:
+    def test_backfill_ending_at_terminal_sends_each_seq_once(self):
+        from repro.automl.events import JobStateChanged, TrialStarted
+        from repro.automl.remote.edge import _Connection, _StreamSink
+        from repro.automl.remote.http_server import _TuneApp
+
+        last = 11
+        events = [TrialStarted(trial_id=seq, params={"pad": "x" * 4096},
+                               job_id=1, seq=seq) for seq in range(last)]
+        events.append(JobStateChanged(state="completed", terminal=True,
+                                      job_id=1, seq=last))
+
+        class Remote:
+            tune_server = _FakeTune(events, live_from=6)
+
+            def log(self, line) -> None:
+                pass
+
+        app = _TuneApp(Remote())
+        edge = AsyncHTTPEdge(("127.0.0.1", 0), app)
+        server_side, client_side = socket.socketpair()
+        try:
+            # A small send buffer keeps most of the backfill in the edge's
+            # own buffer when the backfill ends, as for a slow reader.
+            server_side.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            server_side.setblocking(False)
+            client_side.setblocking(False)
+            conn = _Connection(server_side, "pair")
+            edge._conns.add(conn)
+            edge._selector.register(server_side, selectors.EVENT_READ,
+                                    ("conn", conn))
+            sink = _StreamSink(edge, conn, None, send_timeout=5.0)
+            app.stream_begin("1", {"last_seq": "-1"}, None, sink)
+            received = bytearray()
+            for _ in range(200):
+                edge._loop_pass()
+                try:
+                    while True:
+                        chunk = client_side.recv(1 << 16)
+                        if not chunk:
+                            break
+                        received += chunk
+                except BlockingIOError:
+                    continue
+                break  # EOF: the edge closed the stream
+            else:
+                pytest.fail("the stream never closed")
+        finally:
+            client_side.close()
+            edge.stop()
+        status, frames = _parse_stream(received)
+        assert status == 200
+        assert [frame["seq"] for frame in frames] == list(range(last + 1))
+        assert [frame["seq"] for frame in frames
+                if frame["type"] == "JobStateChanged"] == [last]
+
+
+# --------------------------------------------------------------------------- #
 # Wire behaviour: one round trip and the error taxonomy
 # --------------------------------------------------------------------------- #
 class TestEdgeParity:

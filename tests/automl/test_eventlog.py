@@ -237,6 +237,26 @@ class TestDurability:
         assert [e.seq for e in log.read(1)] == list(range(last + 2))
         log.close()
 
+    def test_interval_clock_starts_when_the_job_opens(self, tmp_path):
+        """A job's first append waits for the interval like any other; only
+        its terminal event forces an fsync."""
+        log = EventLog(str(tmp_path / "events"), fsync="interval",
+                       fsync_interval=3600.0)
+        for job_id in range(20):
+            log.open_job(job_id, f"s{job_id}")
+            log.append(JobStateChanged(state="queued", job_id=job_id, seq=0))
+            log.append(JobStateChanged(state="running", job_id=job_id, seq=1))
+            for step in range(4):
+                log.append(TrialReport(trial_id=0, step=step, value=0.5,
+                                       job_id=job_id, seq=2 + step))
+        assert log.stats()["appended"] == 20 * 6
+        assert log.stats()["fsyncs"] == 0
+        for job_id in range(20):
+            log.append(JobStateChanged(state="completed", terminal=True,
+                                       job_id=job_id, seq=6))
+        assert log.stats()["fsyncs"] == 20
+        log.close()
+
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_fsync_policies_all_append(self, tmp_path, policy):
         log = EventLog(str(tmp_path / policy), fsync=policy)

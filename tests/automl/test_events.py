@@ -39,7 +39,8 @@ from repro.automl.events import (
 )
 from repro.automl.scheduler import AsyncScheduler
 from repro.automl.search_space import SearchSpace, Uniform
-from repro.automl.trial import KILL_PREEMPTED, TrialState
+from repro.automl.pruners import MedianPruner
+from repro.automl.trial import KILL_PREEMPTED, KILLED_STATES, TrialState
 from repro.exceptions import TrialError
 from wire_reference import (
     reference_event_from_wire,
@@ -383,6 +384,38 @@ def _reporting_objective(trial):
     return trial.params["x"]
 
 
+def assert_stream_contract(events) -> None:
+    """The invariants of one job's event stream, whatever happened in it.
+
+    Seqs run 0..n with no gap, and exactly one terminal event ends the
+    stream.  Per trial: TrialStarted comes first and TrialFinished last,
+    report steps strictly increase, and at most one TrialKilled carries a
+    reason matching the trial's terminal state.
+    """
+    assert [event.seq for event in events] == list(range(len(events)))
+    terminal = [index for index, event in enumerate(events)
+                if isinstance(event, JobStateChanged) and event.terminal]
+    assert terminal == [len(events) - 1], "not exactly one terminal, last"
+    trials = {}
+    for event in events:
+        if not isinstance(event, JobStateChanged):
+            trials.setdefault(event.trial_id, []).append(event)
+    for trial_id, stream in trials.items():
+        kinds = [type(event) for event in stream]
+        assert kinds[0] is TrialStarted and kinds.count(TrialStarted) == 1, (
+            trial_id, kinds)
+        assert kinds[-1] is TrialFinished and kinds.count(TrialFinished) == 1, (
+            trial_id, kinds)
+        steps = [event.step for event in stream
+                 if isinstance(event, TrialReport)]
+        assert all(a < b for a, b in zip(steps, steps[1:])), (trial_id, steps)
+        kills = [event for event in stream if isinstance(event, TrialKilled)]
+        assert len(kills) <= 1, (trial_id, kills)
+        if kills:
+            assert KILLED_STATES[kills[0].reason].value == stream[-1].state, (
+                trial_id, kills[0].reason, stream[-1].state)
+
+
 class TestServerSubscribe:
     @pytest.mark.parametrize("scheduler", ["round", "async"])
     def test_stream_is_per_trial_ordered_and_terminates(self, space, scheduler):
@@ -530,6 +563,78 @@ class TestServerSubscribe:
         kinds = [type(e).__name__ for e in seen]
         assert "TrialFinished" in kinds
         assert kinds[-1] == "JobStateChanged"
+
+
+def _mixed_objective(trial):
+    """Trials 0-1 complete strong, trial 2 overruns its time limit while
+    reporting strong values, trial 3+ report weak values until pruned."""
+    if trial.trial_id < 2:
+        for _ in range(50):
+            trial.report(1.0)
+        return 1.0
+    value = 1.0 if trial.trial_id == 2 else 0.0
+    for _ in range(200):
+        trial.report(value)  # raises once the loop kills the trial
+        time.sleep(0.02)
+    return value
+
+
+class TestStreamContract:
+    """One seeded run per policy through every way a trial can end."""
+
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_mixed_run_streams_keep_the_contract(self, space, scheduler):
+        release = threading.Event()
+
+        def hold(trial):
+            for step in range(1000):
+                if release.is_set():
+                    break
+                trial.report(float(step))  # raises once killed
+                time.sleep(0.01)
+            return trial.params["x"]
+
+        def until(predicate):
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and not predicate():
+                time.sleep(0.01)
+            assert predicate()
+
+        def rng(seed):
+            return np.random.default_rng(seed)
+
+        with AntTuneServer(num_workers=2, max_concurrent_jobs=2,
+                           backend="thread", scheduler=scheduler) as server:
+            pruned = server.submit(
+                space, _mixed_objective, rng=rng(1),
+                config=StudyConfig(n_trials=4, trial_time_limit=0.6,
+                                   max_retries=0, raise_on_all_failed=False),
+                pruner=MedianPruner(warmup_steps=1, min_trials=2))
+            server.wait(pruned, timeout=30.0)
+            victim = server.submit(space, hold, rng=rng(2),
+                                   config=StudyConfig(n_trials=3))
+            until(lambda: server.poll(victim)["num_trials"] >= 2)
+            preemptor = server.submit(space, lambda t: t.params["x"],
+                                      rng=rng(3), preempt=True,
+                                      config=StudyConfig(n_trials=1))
+            server.wait(preemptor, timeout=30.0)
+            release.set()
+            server.wait(victim, timeout=30.0)
+            release.clear()
+            cancelled = server.submit(space, hold, rng=rng(4),
+                                      config=StudyConfig(n_trials=2))
+            until(lambda: server.poll(cancelled)["num_trials"] >= 1)
+            assert server.cancel(cancelled)
+            with pytest.raises(TrialError, match="was cancelled"):
+                server.wait(cancelled, timeout=30.0)
+            streams = {job_id: list(server.subscribe(job_id))
+                       for job_id in (pruned, victim, preemptor, cancelled)}
+        for events in streams.values():
+            assert_stream_contract(events)
+        reasons = {event.reason for events in streams.values()
+                   for event in events if isinstance(event, TrialKilled)}
+        assert reasons == set(KILLED_STATES), reasons
+        assert streams[cancelled][-1].state == JobState.CANCELLED.value
 
 
 class TestStorageOffTheStream:

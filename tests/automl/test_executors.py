@@ -10,6 +10,8 @@ import pytest
 
 from repro.automl import (
     RACOS,
+    FairShareGovernor,
+    GovernedExecutor,
     ProcessPoolTrialExecutor,
     RandomSearch,
     Study,
@@ -20,7 +22,7 @@ from repro.automl import (
     worker_rng,
 )
 from repro.automl.search_space import SearchSpace, Uniform
-from repro.automl.trial import Trial, TrialState
+from repro.automl.trial import TrialState
 
 
 @pytest.fixture
@@ -87,40 +89,49 @@ class TestExecutors:
         assert active["peak"] >= 2
         assert len(study.trials) == 8
 
-    def test_late_failure_does_not_overwrite_timeout(self):
+    def test_late_failure_does_not_overwrite_timeout(self, space):
         executor = ThreadPoolTrialExecutor(1)
 
         def late_boom(trial):
             time.sleep(0.3)
             raise RuntimeError("late boom")
 
-        trial = Trial(0, {"x": 0.5})
-        executor.run_batch(late_boom, [trial], trial_time_limit=0.05)
+        study = _study(space, n_trials=1, trial_time_limit=0.05,
+                       max_retries=0, raise_on_all_failed=False)
+        study.optimize(late_boom, executor=executor)
+        trial, = study.trials
         assert trial.state == TrialState.TIMED_OUT
         time.sleep(0.4)  # let the straggler thread raise after the deadline
         assert trial.state == TrialState.TIMED_OUT  # not overwritten to FAILED
         assert trial.error is None  # late error discarded with the late result
         executor.shutdown()
 
-    def test_starved_queued_trial_fails_instead_of_timing_out(self):
+    def test_starved_queued_trial_fails_instead_of_timing_out(self, space):
+        # Two slots in the loop's view, one thread in the pool: the second
+        # trial queues behind a non-cooperative straggler that outlives the
+        # starvation grace (STARVATION_GRACE_FACTOR limits after submit,
+        # 0.25 s) by 0.35 s, so a late loop wake-up cannot let it start.
         executor = ThreadPoolTrialExecutor(1)
-        first, queued = Trial(0, {"x": 0.1}), Trial(1, {"x": 0.2})
-        executor.run_batch(lambda t: time.sleep(0.3) or 1.0, [first, queued],
-                           trial_time_limit=0.05)
+        view = GovernedExecutor(executor, FairShareGovernor(2), "job")
+        study = _study(space, n_trials=2, trial_time_limit=0.05,
+                       max_retries=0, raise_on_all_failed=False)
+        study.optimize(lambda t: time.sleep(0.6) or 1.0, executor=view)
+        first, queued = study.trials
         assert first.state == TrialState.TIMED_OUT
         # The queued trial never ran: FAILED (retryable), not a fake timeout.
         assert queued.state == TrialState.FAILED
         assert "never started" in queued.error
         executor.shutdown()
 
-    def test_executor_survives_pool_shutdown(self):
+    def test_executor_survives_pool_shutdown(self, space):
         executor = ThreadPoolTrialExecutor(2)
-        trials = [Trial(0, {"x": 0.5}), Trial(1, {"x": 0.25})]
-        executor.run_batch(lambda t: t.params["x"], trials[:1])
-        executor.shutdown()  # worker death: the pool is gone
-        executor.run_batch(lambda t: t.params["x"], trials[1:])
+        trials = []
+        for seed in range(2):
+            study = _study(space, seed=seed, n_trials=1)
+            study.optimize(lambda t: t.params["x"], executor=executor)
+            trials += study.trials
+            executor.shutdown()  # worker death: the pool is gone
         assert all(t.state == TrialState.COMPLETED for t in trials)
-        executor.shutdown()
 
 
 class TestProcessPool:
@@ -196,13 +207,13 @@ class TestProcessPool:
 
     def test_executor_survives_pool_shutdown(self, space):
         executor = ProcessPoolTrialExecutor(2)
-        trials = [Trial(0, {"x": 0.5}, state=TrialState.RUNNING),
-                  Trial(1, {"x": 0.25}, state=TrialState.RUNNING)]
-        executor.run_batch(_picklable_objective, trials[:1])
-        executor.shutdown()  # worker death: the pool is gone
-        executor.run_batch(_picklable_objective, trials[1:])
+        trials = []
+        for seed in range(2):
+            study = _study(space, seed=seed, n_trials=1)
+            study.optimize(_picklable_objective, executor=executor)
+            trials += study.trials
+            executor.shutdown()  # worker death: the pool is gone
         assert all(t.state == TrialState.COMPLETED for t in trials)
-        executor.shutdown()
 
 
 class TestParallelStudy:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import sys
 import textwrap
 import threading
@@ -371,6 +372,40 @@ class TestHttpEndpoints:
             assert response.getheader("Connection") == "close"
         finally:
             conn.close()
+
+
+class TestServerDiesMidRequest:
+    """A server killed after reading a request, before answering it, is a
+    connection-level failure: retryable, whatever urllib raises for it."""
+
+    @staticmethod
+    def _read_request_then_close(listener):
+        conn, _ = listener.accept()
+        with conn:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+
+    @pytest.mark.parametrize("call", ["request", "stream"])
+    def test_close_without_answer_is_unreachable(self, call):
+        from repro.automl.remote.client import _ServerUnreachable
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=self._read_request_then_close,
+                                      args=(listener,))
+            server.start()
+            client = AntTuneClient(
+                f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=5.0)
+            with pytest.raises(_ServerUnreachable):
+                if call == "request":
+                    client._request("GET", "/v1/status")
+                else:
+                    client._open_stream(0, -1, 8)
+            server.join(timeout=5.0)
+        assert not server.is_alive()
 
 
 class TestEventStream:

@@ -11,6 +11,7 @@ import pytest
 from repro.automl import (
     RACOS,
     AsyncScheduler,
+    ProcessPoolTrialExecutor,
     RandomSearch,
     RoundScheduler,
     Study,
@@ -18,8 +19,11 @@ from repro.automl import (
     TrialScheduler,
     make_scheduler,
 )
+from repro.automl import metrics as _metrics
+from repro.automl.events import TrialFinished, TrialReport
+from repro.automl.remote.tickets import TicketTrialExecutor
 from repro.automl.search_space import SearchSpace, Uniform
-from repro.automl.trial import TrialState
+from repro.automl.trial import KILL_DEADLINE, TrialState
 
 
 @pytest.fixture
@@ -30,6 +34,35 @@ def space():
 def _study(space, algorithm_cls=RandomSearch, seed=0, **config):
     return Study(space, algorithm=algorithm_cls(rng=np.random.default_rng(seed)),
                  config=StudyConfig(**config), rng=np.random.default_rng(seed))
+
+
+def _loop_passes(scheduler: str) -> float:
+    """``anttune_scheduler_ticks_total`` for one policy: trial-loop passes."""
+    for sample in _metrics.REGISTRY.snapshot()[
+            "anttune_scheduler_ticks_total"]["samples"]:
+        if sample["labels"] == {"scheduler": scheduler}:
+            return sample["value"]
+    return 0.0
+
+
+# Module-level objectives: the process backend requires picklable callables
+# (and the ticket backend importable ones).
+def _report_once_then_sleep(trial):
+    trial.report(0.5)
+    time.sleep(0.6)
+    return trial.params["x"]
+
+
+def _quick(trial):
+    return trial.params["x"]
+
+
+def _reporting_straggler(trial):
+    """Reports every 20 ms for 3 s, so a deadline kill stops it early."""
+    for step in range(150):
+        trial.report(float(step))
+        time.sleep(0.02)
+    return trial.params["x"]
 
 
 class TestMakeScheduler:
@@ -190,3 +223,109 @@ class TestAsyncScheduler:
     def test_base_scheduler_is_abstract(self, space):
         with pytest.raises(NotImplementedError):
             TrialScheduler().run(_study(space), lambda t: 0.0, None, 0, ["w"])
+
+
+class TestEventDrivenLoop:
+    """The loop wakes on events, not on a poll: counted in loop passes."""
+
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_silent_trial_costs_no_polling_passes(self, space, scheduler):
+        before = _loop_passes(scheduler)
+        study = _study(space, n_trials=1)
+        study.optimize(lambda t: time.sleep(0.6) or t.params["x"],
+                       n_workers=2, scheduler=scheduler)
+        assert study.trials[0].state == TrialState.COMPLETED
+        assert _loop_passes(scheduler) - before <= 3
+
+    def test_process_report_arrives_by_doorbell(self, space):
+        study = _study(space, n_trials=1)
+        published = []
+
+        def sink(event):
+            if isinstance(event, TrialReport):
+                # Still running: the report came mid-trial, not in the flush
+                # that precedes TrialFinished.
+                published.append((event.step, study.trials[0].is_finished))
+        study._event_sink = sink
+        before = _loop_passes("round")
+        study.optimize(_report_once_then_sleep, n_workers=1, backend="process")
+        assert study.trials[0].state == TrialState.COMPLETED
+        assert published == [(0, False)]
+        assert _loop_passes("round") - before <= 4
+
+    def test_report_burst_publishes_as_one_batch(self, space):
+        study = _study(space, n_trials=1)
+        published = []
+
+        def sink(event):
+            if isinstance(event, TrialReport):
+                published.append((event.step, _loop_passes("round")))
+            elif isinstance(event, TrialFinished):
+                published.append(("finished", _loop_passes("round")))
+        study._event_sink = sink
+
+        def burst(trial):
+            for step in range(50):
+                trial.report(float(step))
+            time.sleep(0.3)
+            return trial.params["x"]
+
+        before = _loop_passes("round")
+        study.optimize(burst, n_workers=2)
+        steps = [step for step, _ in published]
+        assert steps == list(range(50)) + ["finished"]
+        # Every report went out in one pass, ahead of the finish's pass.
+        assert len({passes for step, passes in published[:50]}) == 1
+        assert _loop_passes("round") - before <= 2
+
+
+class TestLimitRunsFromStart:
+    """A round-policy straggler times out one limit after it started, on the
+    backends whose workers start trials out of the loop's sight."""
+
+    LIMIT = 0.4
+
+    def test_process_straggler_times_out_one_limit_after_start(self, space):
+        executor = ProcessPoolTrialExecutor(1)
+        try:
+            # Warm the pool, so the straggler starts as soon as it is sent.
+            _study(space, n_trials=1).optimize(_quick, executor=executor)
+            study = _study(space, n_trials=1, trial_time_limit=self.LIMIT,
+                           raise_on_all_failed=False)
+            start = time.perf_counter()
+            study.optimize(_reporting_straggler, executor=executor,
+                           scheduler="round")
+            elapsed = time.perf_counter() - start
+        finally:
+            executor.shutdown()
+        assert study.trials[0].state == TrialState.TIMED_OUT
+        assert elapsed < 1.5 * self.LIMIT
+
+    def test_ticket_straggler_times_out_one_limit_after_claim(self, space):
+        board = TicketTrialExecutor(1)
+        study = _study(space, n_trials=1, trial_time_limit=self.LIMIT,
+                       raise_on_all_failed=False)
+        runner = threading.Thread(
+            target=study.optimize, args=(_reporting_straggler,),
+            kwargs={"executor": board, "scheduler": "round"})
+        runner.start()
+        give_up = time.perf_counter() + 10.0
+        lease = None
+        while lease is None and time.perf_counter() < give_up:
+            lease = board.claim(worker="puller")
+            time.sleep(0.005)
+        assert lease is not None
+        claimed = time.perf_counter()
+        kill, step = None, 0
+        while kill is None and time.perf_counter() < give_up:
+            # The worker side of _reporting_straggler: a report every 20 ms.
+            kill = board.report(lease["ticket"], lease["token"], step, 0.5)
+            step += 1
+            time.sleep(0.02)
+        killed_after = time.perf_counter() - claimed
+        runner.join(timeout=10.0)
+        board.close()
+        assert not runner.is_alive()
+        assert kill == KILL_DEADLINE
+        assert study.trials[0].state == TrialState.TIMED_OUT
+        assert killed_after < 1.5 * self.LIMIT

@@ -253,7 +253,7 @@ class TestFairShareGovernor:
         assert all(share >= 1 for share in shares.values())
         assert governor.allowance("tiny") == 1
 
-    def test_governed_executor_tracks_allowance(self):
+    def test_governed_executor_tracks_allowance(self, space):
         governor = FairShareGovernor(4)
         inner = make_executor(4, backend="thread")
         try:
@@ -263,8 +263,9 @@ class TestFairShareGovernor:
             governor.register("other", 3.0)
             assert view.n_workers == 1
             view.shutdown()  # must NOT touch the shared inner pool
-            trial = Trial(0, {"x": 0.5}, state=TrialState.RUNNING)
-            view.run_batch(lambda t: t.params["x"], [trial])
+            study = _study(space, n_trials=1)
+            study.optimize(lambda t: t.params["x"], executor=view)
+            trial, = study.trials
             assert trial.state == TrialState.COMPLETED
         finally:
             inner.close()
