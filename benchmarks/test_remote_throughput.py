@@ -94,7 +94,7 @@ def test_concurrent_clients_streaming_throughput():
         for thread in threads:
             thread.join(timeout=120.0)
         elapsed = time.perf_counter() - start
-        telemetry = remote.tune_server.server_status()["telemetry"]
+        dropped = remote.tune_server._bus.dropped_total()
 
     assert not errors, errors
     assert len(results) == N_CLIENTS
@@ -123,8 +123,7 @@ def test_concurrent_clients_streaming_throughput():
         rows, title=(f"{N_CLIENTS} concurrent SDK clients vs one HTTP tune "
                      f"server ({N_TRIALS} trials x {REPORTS_PER_TRIAL} "
                      f"reports each, loopback NDJSON streams); "
-                     f"event_queue_dropped="
-                     f"{telemetry['event_queue_dropped']}"))
+                     f"event_queue_dropped={dropped}"))
     save_result("remote_throughput", text)
 
     # Conservative floor: loopback HTTP + JSON should stream far more than

@@ -75,8 +75,12 @@ def main() -> None:
                   f"value = {best.value:.3f}")
 
         status = client.server_status()
+        dropped = {name: sum(sample["value"]
+                             for sample in status["metrics"][name]["samples"])
+                   for name in ("anttune_transport_dropped_total",
+                                "anttune_event_queue_dropped_total")}
         print(f"\nserver status: {status['num_jobs']} jobs "
-              f"{status['job_states']}, backpressure {status['telemetry']}")
+              f"{status['job_states']}, drops {dropped}")
 
 
 if __name__ == "__main__":

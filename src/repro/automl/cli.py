@@ -520,9 +520,6 @@ def _cmd_remote_show(args: argparse.Namespace,
     best = status["best_value"]
     out("best:       " + ("-" if best is None else f"{best:.6g}"))
     out(f"priority:   {status['priority']}")
-    telemetry = status.get("telemetry", {})
-    out(f"backpressure: transport_dropped={telemetry.get('transport_dropped', 0)} "
-        f"event_queue_dropped={telemetry.get('event_queue_dropped', 0)}")
     if status["error"]:
         out(f"error:      {status['error']}")
     return 0
@@ -673,8 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "with storage: auto-resume or finalise jobs a "
                             "previous process left RUNNING")
     serve.add_argument("--edge-workers", type=int, default=8,
-                       help="bounded worker pool for control handlers and "
-                            "stream backfills (default: %(default)s)")
+                       help="bounded worker pool for control handlers "
+                            "(default: %(default)s)")
     serve.add_argument("--write-buffer", type=int, default=256 * 1024,
                        help="per-connection cap in bytes on buffered unsent "
                             "output before backpressure engages "

@@ -6,8 +6,8 @@ server forgets every stream, so a client reconnecting with ``last_seq`` after
 a crash used to find nothing to replay.  :class:`EventLog` closes that gap:
 the tune server feeds every published event of a job into an append-only
 on-disk log (one synchronous bus callback per job), and the remote event
-endpoint transparently backfills ``GET /v1/jobs/{id}/events?last_seq=`` from
-disk when the in-memory ring has rotated or the process is new.
+endpoint ``GET /v1/jobs/{id}/events?last_seq=`` reads it transparently for
+any seq the in-memory history no longer holds or a new process never had.
 
 Log format
 ----------

@@ -54,6 +54,7 @@ already-finished job replays it up to its terminal event.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import queue as queue_module
 import threading
@@ -202,7 +203,8 @@ _PUBLISH_CHILDREN = {name: _PUBLISH_SECONDS.labels(type=name)
                      for name in EVENT_TYPES}
 _QUEUE_DROPPED = _metrics.REGISTRY.counter(
     "anttune_event_queue_dropped_total",
-    "Events shed by lagging subscriber queues, by job. Cumulative for the "
+    "Events shed by lagging subscriber queues, or skipped by an HTTP event "
+    "stream on a server without an event log, by job. Cumulative for the "
     "process lifetime: never reset by consumer churn or bus re-priming.",
     labels=("job",))
 
@@ -681,6 +683,48 @@ class EventBus:
                 sub._deliver(event, replay=True)
         return sub
 
+    def history(self, job_id: Optional[int], after_seq: int,
+                upto_seq: int) -> Tuple[int, List[Event]]:
+        """The job's retained events with ``after_seq < seq <= upto_seq``.
+
+        A cursor reader's window onto the replay history: the history is
+        contiguous in seq, so the read is a slice, not a scan.  An evicted
+        job retains only its terminal event.
+
+        Args:
+            job_id: the stream to read.
+            after_seq: the reader's cursor (the last seq it has).
+            upto_seq: the newest seq to return.
+
+        Returns:
+            ``(oldest, events)``: the oldest seq the bus still holds (the
+            next seq to stamp when it holds none) and the events in range,
+            in seq order.  ``oldest > after_seq + 1`` means the events
+            between the cursor and ``oldest`` are no longer held here.
+        """
+        with self._lock:
+            history = self._history.get(job_id)
+            if history is None:
+                terminal = self._terminal.get(job_id)
+                if terminal is None:
+                    return self._seq.get(job_id, 0), []
+                history = (terminal,)
+            oldest = history[0].seq
+            start = max(0, after_seq + 1 - oldest)
+            stop = min(len(history), upto_seq + 1 - oldest)
+            if start >= stop:
+                return oldest, []
+            # Walk from the nearer end: a reader near the tail (the common
+            # case) costs the few events it reads, not the whole history.
+            if start >= len(history) - stop:
+                events = list(itertools.islice(reversed(history),
+                                               len(history) - stop,
+                                               len(history) - start))
+                events.reverse()
+            else:
+                events = list(itertools.islice(history, start, stop))
+        return oldest, events
+
     def _unsubscribe(self, sub: Subscription) -> None:
         with self._lock:
             subs = self._subs.get(sub.job_id)
@@ -697,10 +741,10 @@ class EventBus:
     def note_drops(self, job_id: Optional[int], count: int) -> None:
         """Fold externally shed events into this job's drop accounting.
 
-        Downstream per-consumer buffers (the async edge's per-connection
-        write queues) apply the same drop-oldest bound as subscriber queues
-        but shed outside the bus; this hook keeps all backpressure sheds in
-        one place — the :meth:`dropped` tallies and the
+        A reader outside the bus that skips events — an HTTP event stream
+        further behind than the history on a server without an event log —
+        counts them here, so every shed event lands in one place: the
+        :meth:`dropped` tallies and the
         ``anttune_event_queue_dropped_total{job=...}`` metric.
 
         Args:
@@ -717,9 +761,9 @@ class EventBus:
     def dropped(self, job_id: Optional[int]) -> int:
         """Events shed by ``job_id``'s subscriber queues (all subscriptions).
 
-        Counts live and already-closed subscriptions alike, so a burst that
-        outran a consumer stays visible in :meth:`AntTuneServer.status
-        <repro.automl.server.AntTuneServer.status>` after the fact.  The
+        Counts live and already-closed subscriptions alike (and the skips
+        :meth:`note_drops` folds in), so a burst that outran a consumer
+        stays visible after the fact.  The
         tally is **cumulative for the bus's lifetime**: neither subscription
         churn nor :meth:`prime` (the recovery path re-priming a job's seq
         numbering) ever resets it.  The same counts are exported as the

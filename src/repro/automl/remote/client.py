@@ -349,26 +349,27 @@ class AntTuneClient:
     # ------------------------------------------------------------------ #
     # Event streaming
     # ------------------------------------------------------------------ #
-    def subscribe(self, job_id: int, last_seq: int = -1,
-                  max_queue: int = 1024) -> Iterator[Event]:
+    def subscribe(self, job_id: int, last_seq: int = -1) -> Iterator[Event]:
         """Follow one job's ordered event stream as reconstructed typed events.
 
         Yields :mod:`repro.automl.events` instances in per-job ``seq`` order,
-        starting after ``last_seq`` (backfilled from the server's durable
-        event log, then its live stream) and ending with the terminal
+        starting after ``last_seq`` (read from the server's bus history
+        or, behind it, its durable event log) and ending with the terminal
         :class:`~repro.automl.events.JobStateChanged`.  A dropped connection
         reconnects transparently, resuming from the highest ``seq`` already
         yielded — no duplicates, no gaps, even when the *server process
         itself* was killed and restarted in between (the replay then comes
-        off disk; see the module docs for the retry budget).  A jump in
-        ``seq`` (events the server dropped from an overflowing live queue)
-        is never yielded across: the stream reconnects from the last event
-        yielded and the server backfills the missing ones from its log.
+        off disk; see the module docs for the retry budget).  The server
+        streams each connection as a cursor over the job's events, reading
+        its durable log for anything its memory no longer holds, so a
+        log-backed server never skips a seq; only a server without a log
+        can, for a reader further behind than its bus history.  A jump in
+        ``seq`` is still never yielded across: the stream reconnects from
+        the last event yielded.
 
         Args:
             job_id: the job to follow.
             last_seq: resume point; -1 streams from the beginning.
-            max_queue: per-connection server-side queue bound (drop-oldest).
 
         Yields:
             Typed events.
@@ -377,11 +378,11 @@ class AntTuneClient:
             TrialError: unknown job, or the stream died (or kept skipping
                 seqs) and reconnection kept failing without progress.
         """
-        for wire in self._wire_stream(job_id, last_seq, max_queue):
+        for wire in self._wire_stream(job_id, last_seq):
             yield event_from_wire(wire)
 
-    def _wire_stream(self, job_id: int, last_seq: int = -1,
-                     max_queue: int = 1024) -> Iterator[Dict[str, object]]:
+    def _wire_stream(self, job_id: int,
+                     last_seq: int = -1) -> Iterator[Dict[str, object]]:
         """:meth:`subscribe`'s reconnect/replay loop, yielding wire dicts.
 
         Each yielded dict is a fresh ``event_to_wire``-shaped payload the
@@ -394,7 +395,7 @@ class AntTuneClient:
         while True:
             made_progress = False
             try:
-                response = self._open_stream(job_id, last_seq, max_queue)
+                response = self._open_stream(job_id, last_seq)
             except _ServerUnreachable:
                 # Connection-level failure: the server may come back.
                 if retries >= self.max_stream_retries:
@@ -418,8 +419,8 @@ class AntTuneClient:
                     if seq <= last_seq:
                         continue  # replay overlap after a reconnect
                     if seq != last_seq + 1:
-                        # Events went missing in transit: reconnect so the
-                        # server backfills them from its durable log.
+                        # Events went missing: reconnect from the last one
+                        # yielded, so a log-backed server replays the rest.
                         failure = f"seqs {last_seq + 1}..{seq - 1} missing"
                         break
                     last_seq = seq
@@ -435,9 +436,9 @@ class AntTuneClient:
             finally:
                 response.close()
             # Reconnect: either the connection failed, the stream skipped
-            # seqs, or the server closed it without a terminal event (shed
-            # queue tail, handler error).  Repeated attempts that deliver
-            # nothing new give up.
+            # seqs, or the server closed it without a terminal event (a
+            # stalled reader torn down, a handler error).  Repeated attempts
+            # that deliver nothing new give up.
             if not made_progress:
                 retries += 1
                 if retries > self.max_stream_retries:
@@ -450,11 +451,11 @@ class AntTuneClient:
             # no-progress attempts spread the herd out exponentially.
             time.sleep(_reconnect_delay(0 if made_progress else retries - 1))
 
-    def _open_stream(self, job_id: int, last_seq: int, max_queue: int):
+    def _open_stream(self, job_id: int, last_seq: int):
         """One streaming connection (split out so tests can inject failures)."""
         request = urllib.request.Request(
             self.base_url + f"/v1/jobs/{int(job_id)}/events"
-            f"?last_seq={int(last_seq)}&max_queue={int(max_queue)}",
+            f"?last_seq={int(last_seq)}",
             headers=self._headers())
         try:
             return urllib.request.urlopen(request,

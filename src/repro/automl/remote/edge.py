@@ -13,22 +13,28 @@ tune server and the router with one I/O thread multiplexing **all** sockets:
 * **Short-lived control requests** (submit, status, cancel, tickets) are
   dispatched to a small bounded worker pool; the loop itself never blocks
   on application code.
-* **Event streams leave the thread world**: each streaming connection is a
-  write buffer fed by event-bus callbacks.  Frames queued between two loop
-  passes are coalesced into **one batched send** (observed by the
-  ``anttune_edge_flush_batch_size`` histogram), and every frame is the
+* **Event streams are cursors**: a streaming connection keeps only the
+  last seq it wrote.  The app hands the edge a *feed* over the job's
+  window, the events the service already keeps once, indexed by seq; a
+  doorbell from the feed marks the stream dirty, and each loop flush copies
+  the lines after the cursor into the write buffer as **one batched send**
+  (observed by the ``anttune_edge_flush_batch_size`` histogram), up to the
+  write-buffer bound, going on when the socket drains.  Every frame is the
   event's shared pre-serialised wire line
   (:func:`repro.automl.events.event_wire_bytes`) — one serialisation per
-  event regardless of subscriber count.
+  event regardless of subscriber count.  A cursor older than the window
+  (a ``?last_seq=`` replay, a reader far behind) reads the feed's backlog
+  in chunks of the same size, each a task on the edge's one backlog thread
+  that never waits on the reader, so replays take turns and never occupy
+  the control workers.
 * **``/wait`` parks**: instead of blocking a thread on the job, the edge
   registers a terminal-event continuation plus a loop timer; whichever
   fires first completes the response.  A thousand waiting clients cost a
   thousand parked connections, not a thousand threads.
-* **Slow readers are bounded**: a stalled connection's live frame queue
-  drops oldest (counted through the app's drop hook into
-  ``anttune_event_queue_dropped_total``), its write buffer is capped, and a
-  connection that makes no send progress for the stream send-timeout grace
-  is disconnected.
+* **Slow readers are bounded**: a stream's memory is its write buffer,
+  capped at ``write_buffer_limit``; a reader that stops reading simply stops
+  advancing its cursor, and a connection that makes no send progress for the
+  stream send-timeout grace is disconnected.
 
 The edge is application-agnostic: it drives an *app* object (the tune
 server's and the router's endpoint cores in
@@ -45,11 +51,26 @@ through a small duck-typed protocol::
                                         # -> ("reply", payload)
                                         #  | ("park", parker)
     app.stream_begin(args, params, request_id, sink) -> None
+                                        # sink.on_close(cleanup), then
+                                        # sink.start(feed, after_seq), and
+                                        # sink.wake() (any thread) whenever
+                                        # the feed has new frames
     app.heartbeat_seconds               # idle stream heartbeat period
     app.stream_send_timeout             # no-progress disconnect grace
 
-``handle_control`` / ``wait_begin`` / ``stream_begin`` run on worker-pool
-threads and may raise :class:`~repro.automl.remote.api.ProtocolError` /
+    feed.read(after_seq, max_bytes)     # loop thread, must not block
+                                        # -> (frames, last_seq, end) | None
+    feed.backlog(after_seq, max_bytes)  # backlog thread, after read said
+                                        # None -> (frames, last_seq, end)
+
+A read returns the frames after ``after_seq`` in seq order, stopping once
+they reach ``max_bytes`` (a read shorter than that returned all there is),
+with the seq of the last one and whether it ended the stream; None means
+the cursor is older than the feed's window, so the edge runs ``backlog``
+from the same cursor off the loop.  A backlog chunk that does not move the
+cursor waits for the next ``sink.wake()``.  ``handle_control`` / ``wait_begin`` /
+``stream_begin`` run on worker-pool threads and may raise
+:class:`~repro.automl.remote.api.ProtocolError` /
 :class:`~repro.exceptions.TrialError` — the edge maps them to the
 4xx/404/409/500 JSON error taxonomy.
 
@@ -99,7 +120,7 @@ _OPEN_CONNECTIONS = _metrics.REGISTRY.gauge(
     labels=("kind",))
 _FLUSH_BATCH = _metrics.REGISTRY.histogram(
     "anttune_edge_flush_batch_size",
-    "Live event frames coalesced into one batched send per stream flush.",
+    "Event frames copied into one batched send per stream flush.",
     buckets=_metrics.exponential_buckets(1.0, 2.0, 11))
 _LOOP_LAG = _metrics.REGISTRY.histogram(
     "anttune_edge_loop_lag_seconds",
@@ -209,43 +230,12 @@ class _Request:
         self.serial = serial
 
 
-class _Stream(object):
-    """Per-connection streaming state: the live frame queue and its bounds."""
-
-    __slots__ = ("lock", "live", "live_bound", "dropped_pending", "drop_hook",
-                 "watermark", "backfill_done", "started", "ending",
-                 "last_write", "drain_ok", "heartbeat_timer", "unsent")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        # (frame bytes, seq, terminal) triples pushed by bus callbacks.
-        self.live: Deque[Tuple[bytes, int, bool]] = deque()
-        self.live_bound = 1024
-        self.dropped_pending = 0
-        self.drop_hook: Optional[Callable[[int], None]] = None
-        # Highest seq already written via backfill; live frames at or below
-        # it are duplicates of the overlap window and are skipped.
-        self.watermark = -1
-        self.backfill_done = False
-        self.started = False
-        self.ending = False
-        self.last_write = 0.0
-        # Backfill flow control: set while the write buffer has room.
-        self.drain_ok = threading.Event()
-        self.heartbeat_timer: Optional[int] = None
-        # Backfill bytes emitted but not yet on the wire.  Accounted on the
-        # *producer* side (emit time), because counting on the loop side
-        # lets a worker post frames faster than the loop applies them and
-        # the write-buffer bound becomes advisory.
-        self.unsent = 0
-
-
 class _Connection:
     """One socket as the loop sees it: buffers, parser state, mode."""
 
     __slots__ = ("sock", "addr", "rbuf", "out", "kind", "busy", "closing",
                  "alive", "want_write", "last_progress", "serial", "answered",
-                 "stream", "cleanups", "out_started_at")
+                 "stream", "cleanups")
 
     def __init__(self, sock: socket.socket, addr: object) -> None:
         self.sock = sock
@@ -260,135 +250,53 @@ class _Connection:
         self.last_progress = monotonic()
         self.serial = 0            # increments per parsed request
         self.answered = True       # the current serial has been replied to
-        self.stream: Optional[_Stream] = None
+        self.stream: Optional[_StreamSink] = None
         self.cleanups: List[Callable[[], None]] = []
 
 
 class _StreamSink:
-    """The app-facing handle for one streaming response.
+    """One streaming response: a cursor over the app's feed.
 
-    ``start``/``emit``/``backfill_done``/``end`` are called in order from
-    the worker thread running ``stream_begin``; ``live`` may be called from
-    any publisher thread at any time (including before ``start``, during
-    the bus's synchronous replay).  Everything that touches the connection
-    is posted onto the loop.
+    The app calls :meth:`on_close` and then :meth:`start`, once each, from
+    the worker thread running ``stream_begin``; :meth:`wake` may be called
+    from any thread at any time (during the bus's synchronous replay
+    included).  Everything else happens on the loop thread.
     """
 
+    __slots__ = ("_edge", "_conn", "_request_id", "feed", "cursor",
+                 "catching_up", "full", "ending", "last_write",
+                 "heartbeat_timer")
+
     def __init__(self, edge: "AsyncHTTPEdge", conn: _Connection,
-                 request_id: Optional[str], send_timeout: float) -> None:
+                 request_id: Optional[str]) -> None:
         self._edge = edge
         self._conn = conn
         self._request_id = request_id
-        self._send_timeout = send_timeout
-        self._state = _Stream()
-        self._state.drain_ok.set()
-        self._dead = threading.Event()
-        self.started = False
-
-    # -- app side -------------------------------------------------------- #
-    @property
-    def live_bound(self) -> int:
-        return self._state.live_bound
-
-    @live_bound.setter
-    def live_bound(self, bound: int) -> None:
-        self._state.live_bound = max(1, int(bound))
-
-    @property
-    def drop_hook(self) -> Optional[Callable[[int], None]]:
-        return self._state.drop_hook
-
-    @drop_hook.setter
-    def drop_hook(self, hook: Optional[Callable[[int], None]]) -> None:
-        self._state.drop_hook = hook
+        self.feed = None
+        # The last seq written into the connection's buffer.
+        self.cursor = -1
+        # A backlog read is running on the backlog thread; reads wait.
+        self.catching_up = False
+        # The last read stopped at the write-buffer bound: read again once
+        # the socket drains.
+        self.full = False
+        self.ending = False
+        self.last_write = 0.0
+        self.heartbeat_timer: Optional[int] = None
 
     def on_close(self, cleanup: Callable[[], None]) -> None:
         """Run ``cleanup`` when the connection goes away (or now if it has)."""
         self._edge._attach_cleanup(self._conn, cleanup)
 
-    def start(self) -> bool:
-        """Send the stream's response head; False when the client is gone."""
-        self.started = True
-        self._edge._post(lambda: self._edge._stream_start(
-            self._conn, self, self._request_id))
-        return not self._dead.is_set()
+    def start(self, feed, after_seq: int) -> None:
+        """Send the response head, then ``feed``'s frames after ``after_seq``."""
+        self.feed = feed
+        self.cursor = after_seq
+        self._edge._post(lambda: self._edge._stream_start(self._conn, self))
 
-    def emit(self, data: bytes) -> bool:
-        """Write one backfill frame, with flow control; False when gone.
-
-        Blocks the calling worker thread while the connection's write buffer
-        is above its high-water mark, so a huge durable-log backfill streams
-        at the client's pace in bounded memory.
-        """
-        if self._dead.is_set():
-            return False
-        state = self._state
-        with state.lock:
-            state.unsent += len(data)
-            if state.unsent >= self._edge.write_buffer_limit:
-                state.drain_ok.clear()
-        self._edge._post(lambda: self._edge._stream_emit(self._conn, data))
-        if not state.drain_ok.wait(self._send_timeout):
-            # The client made no room for the whole grace period: stop the
-            # backfill and tear the connection down (it can resume later
-            # with last_seq).
-            self._edge._post(lambda: self._edge._teardown(self._conn))
-            return False
-        return not self._dead.is_set()
-
-    def live(self, data: bytes, seq: int, terminal: bool) -> None:
-        """Queue one live frame (bounded, drop-oldest; publisher thread)."""
-        state = self._state
-        with state.lock:
-            if self._dead.is_set():
-                return
-            if not terminal:
-                while len(state.live) >= state.live_bound:
-                    _, _, was_terminal = state.live.popleft()
-                    if was_terminal:  # pragma: no cover - terminal is always
-                        state.live.appendleft((_, _, was_terminal))  # newest
-                        break
-                    state.dropped_pending += 1
-            state.live.append((data, seq, terminal))
+    def wake(self) -> None:
+        """The feed has frames past the cursor: flush at the next pass."""
         self._edge._mark_dirty(self._conn)
-
-    def backfill_done(self, watermark: int) -> None:
-        """Backfill finished at ``watermark``; live flushing may begin."""
-        state = self._state
-
-        def activate() -> None:
-            state.watermark = max(state.watermark, watermark)
-            state.backfill_done = True
-            self._edge._flush_stream(self._conn, monotonic())
-
-        self._edge._post(activate)
-
-    def end(self, watermark: int = -1) -> None:
-        """The stream is complete: close once everything queued is written.
-
-        ``watermark`` is the highest seq the backfill emitted.  Live frames
-        queued meanwhile at or below it are duplicates and never flush.
-        """
-        def finish() -> None:
-            self._state.watermark = max(self._state.watermark, watermark)
-            self._state.ending = True
-            self._state.backfill_done = True
-            conn = self._conn
-            if conn.alive:
-                conn.closing = True
-                if not conn.out:
-                    self._edge._teardown(conn)
-                else:
-                    self._edge._arm_write(conn)
-
-        self._edge._post(finish)
-
-    # -- edge side ------------------------------------------------------- #
-    def _mark_dead(self) -> None:
-        with self._state.lock:
-            self._dead.set()
-            self._state.live.clear()
-        self._state.drain_ok.set()  # unblock a worker stuck in emit()
 
 
 class AsyncHTTPEdge:
@@ -398,11 +306,11 @@ class AsyncHTTPEdge:
         address: ``(host, port)`` to bind; port 0 picks a free one.
         app: the endpoint core driven by this edge (see the module
             docstring for the protocol).
-        workers: bounded worker-pool size for control handlers and stream
-            backfills.
+        workers: bounded worker-pool size for control handlers.  Stream
+            backlog reads run on one more thread of their own.
         write_buffer_limit: per-connection cap (bytes) on buffered unsent
-            output; above it, backfills block (flow control) and live
-            flushing pauses so the bounded frame queue takes over.
+            output; a stream reads no further ahead of its socket than
+            this.
         backlog: listen backlog.
         name: thread-name prefix.
     """
@@ -442,6 +350,11 @@ class AsyncHTTPEdge:
         self._conns: Set[_Connection] = set()
         self._pool = ThreadPoolExecutor(max_workers=workers,
                                         thread_name_prefix=f"{name}-worker")
+        # Backlog chunks are CPU-bound Python that the GIL serialises
+        # anyway: one thread of their own, taking streams in turn, keeps
+        # the control workers free during a replay storm.
+        self._backlog = ThreadPoolExecutor(max_workers=1,
+                                           thread_name_prefix=f"{name}-backlog")
         self._stop_flag = threading.Event()
         self._done = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -501,6 +414,7 @@ class AsyncHTTPEdge:
             # inline.
             self._shutdown_loop()
         self._pool.shutdown(wait=False)
+        self._backlog.shutdown(wait=False)
 
     def _shutdown_loop(self) -> None:
         if self._closed:
@@ -785,16 +699,11 @@ class AsyncHTTPEdge:
         if sent > 0:
             del conn.out[:sent]
             conn.last_progress = monotonic()
-            stream = conn.stream
-            if stream is not None:
-                state = stream._state
-                with state.lock:
-                    state.unsent = max(0, state.unsent - sent)
-                    if state.unsent < self.write_buffer_limit:
-                        state.drain_ok.set()
-                    backlog = bool(state.live)
-                if backlog and state.backfill_done:
-                    self._mark_dirty(conn)
+            sink = conn.stream
+            if (sink is not None and sink.full
+                    and len(conn.out) < self.write_buffer_limit):
+                sink.full = False
+                self._mark_dirty(conn)  # the socket drained: read on
         if not conn.out:
             self._disarm_write(conn)
             if conn.closing:
@@ -830,30 +739,28 @@ class AsyncHTTPEdge:
         self._write(conn)
 
     # -- streaming ------------------------------------------------------- #
-    def _stream_start(self, conn: _Connection, sink: _StreamSink,
-                      request_id: Optional[str]) -> None:
+    def _stream_start(self, conn: _Connection, sink: _StreamSink) -> None:
         if not conn.alive:
-            sink._mark_dead()
             return
         head = ["HTTP/1.1 200 OK",
                 "Content-Type: application/x-ndjson",
                 "Cache-Control: no-store"]
-        if request_id:
-            head.append(f"X-Request-Id: {request_id}")
+        if sink._request_id:
+            head.append(f"X-Request-Id: {sink._request_id}")
         head.append("Connection: close")  # close-delimited stream
         if not conn.out:
             conn.last_progress = monotonic()
         conn.out += ("\r\n".join(head) + "\r\n\r\n").encode("iso-8859-1")
         conn.stream = sink
-        state = sink._state
-        state.started = True
-        state.last_write = monotonic()
+        sink.last_write = monotonic()
         if conn.kind != "stream":
             _CONN_CHILDREN[conn.kind].dec()
             conn.kind = "stream"
             _CONN_CHILDREN["stream"].inc()
-        self._write(conn)
         self._schedule_stream_upkeep(conn, sink)
+        self._flush_stream(conn, monotonic())
+        if conn.alive:
+            self._write(conn)  # the head, if the flush wrote nothing
 
     def _schedule_stream_upkeep(self, conn: _Connection,
                                 sink: _StreamSink) -> None:
@@ -864,7 +771,6 @@ class AsyncHTTPEdge:
         def upkeep() -> None:
             if not conn.alive or conn.stream is not sink:
                 return
-            state = sink._state
             now = monotonic()
             grace = max(0.1, float(getattr(self._app, "stream_send_timeout",
                                            30.0)))
@@ -872,69 +778,82 @@ class AsyncHTTPEdge:
                 # The client stopped reading and its grace is spent.
                 self._teardown(conn)
                 return
-            if (state.started and not state.ending and not conn.out
-                    and now - state.last_write >= heartbeat):
+            if (not sink.ending and not conn.out
+                    and now - sink.last_write >= heartbeat):
                 # Idle heartbeat: a blank NDJSON line keeps client read
                 # timeouts quiet and surfaces dead peers as write errors.
                 conn.last_progress = now
                 conn.out += b"\n"
-                state.last_write = now
+                sink.last_write = now
                 self._write(conn)
-            state.heartbeat_timer = self.schedule(
+            sink.heartbeat_timer = self.schedule(
                 min(heartbeat, max(0.5, grace / 4)), upkeep)
 
-        state = sink._state
-        state.heartbeat_timer = self.schedule(
-            min(heartbeat, 1.0), upkeep)
-
-    def _stream_emit(self, conn: _Connection, data: bytes) -> None:
-        if not conn.alive or conn.stream is None:
-            return
-        state = conn.stream._state
-        if not conn.out:
-            conn.last_progress = monotonic()
-        conn.out += data
-        state.last_write = monotonic()
-        self._write(conn)
+        sink.heartbeat_timer = self.schedule(min(heartbeat, 1.0), upkeep)
 
     def _flush_stream(self, conn: _Connection, now: float) -> None:
-        """Coalesce queued live frames into one batched write."""
+        """Copy the feed's frames after the cursor into the write buffer."""
         sink = conn.stream
-        if sink is None or not conn.alive:
+        if (sink is None or not conn.alive or sink.ending
+                or sink.catching_up):
             return
-        state = sink._state
-        if not state.started or not state.backfill_done:
+        room = self.write_buffer_limit - len(conn.out)
+        if room <= 0:
+            sink.full = True  # read on when the socket drains
             return
-        if conn.out and len(conn.out) >= self.write_buffer_limit:
-            return  # buffer full: leave frames queued (bounded, drop-oldest)
-        frames: List[bytes] = []
-        ending = False
-        with state.lock:
-            while state.live:
-                data, seq, terminal = state.live.popleft()
-                if terminal:
-                    ending = True
-                if seq <= state.watermark:
-                    continue  # the backfill overlap already shipped it
-                state.watermark = seq
-                frames.append(data)
-            dropped, state.dropped_pending = state.dropped_pending, 0
-        if dropped and state.drop_hook is not None:
-            try:
-                state.drop_hook(dropped)
-            except Exception:  # noqa: BLE001 - accounting must not kill IO
-                pass
+        try:
+            got = sink.feed.read(sink.cursor, room)
+        except Exception as exc:  # noqa: BLE001 - one bad feed must not
+            self._log(f"edge: stream read failed: {exc!r}")  # kill the loop
+            self._teardown(conn)
+            return
+        if got is None:
+            # The cursor is older than the feed's window: read the backlog
+            # off the loop, which posts the chunk back here.
+            sink.catching_up = True
+            self._backlog.submit(self._catch_up, conn, sink, sink.cursor,
+                                 room)
+            return
+        self._append_frames(conn, sink, got, room, now)
+
+    def _append_frames(self, conn: _Connection, sink: _StreamSink,
+                       got: Tuple[List[bytes], int, bool], room: int,
+                       now: float) -> None:
+        frames, sink.cursor, end = got
         if frames:
+            data = b"".join(frames)
             if not conn.out:
                 conn.last_progress = now
-            conn.out += b"".join(frames)
-            state.last_write = now
+            conn.out += data
+            sink.last_write = now
+            sink.full = len(data) >= room
             _FLUSH_BATCH.observe(len(frames))
-        if ending:
-            state.ending = True
+        if end:
+            sink.ending = True
             conn.closing = True
-        if frames or ending:
+        if frames or end:
             self._write(conn)  # tears the stream down once it is all sent
+
+    def _catch_up(self, conn: _Connection, sink: _StreamSink,
+                  after_seq: int, room: int) -> None:
+        """One backlog chunk, read on the backlog thread, applied on the loop."""
+        try:
+            got = sink.feed.backlog(after_seq, room)
+        except Exception as exc:  # noqa: BLE001 - the client can resume
+            self._log(f"edge: stream backlog read failed: {exc!r}")
+            self._post(lambda: self._teardown(conn))
+            return
+
+        def apply() -> None:
+            sink.catching_up = False
+            if not conn.alive or conn.stream is not sink:
+                return
+            now = monotonic()
+            self._append_frames(conn, sink, got, room, now)
+            if sink.cursor != after_seq and not sink.full:
+                self._flush_stream(conn, now)  # on to the window
+
+        self._post(apply)
 
     # -- dispatch (worker threads) --------------------------------------- #
     def _respond(self, conn: _Connection, serial: int, status: int,
@@ -1018,19 +937,8 @@ class AsyncHTTPEdge:
                 else:
                     self._park(conn, request, outcome[1], request_id, record)
             else:  # events
-                sink = _StreamSink(self, conn, request_id,
-                                   float(getattr(app, "stream_send_timeout",
-                                                 30.0)))
-                try:
-                    app.stream_begin(args, params, request_id, sink)
-                except Exception:
-                    if sink.started:
-                        # Mid-stream failure: the head is on the wire, no
-                        # error response is possible — just drop the stream.
-                        record(200)
-                        self._post(lambda: self._teardown(conn))
-                        return
-                    raise
+                app.stream_begin(args, params, request_id,
+                                 _StreamSink(self, conn, request_id))
                 record(200)
         except ProtocolError as exc:
             fail(exc.status, str(exc))
@@ -1108,11 +1016,8 @@ class AsyncHTTPEdge:
         except OSError:  # pragma: no cover
             pass
         _CONN_CHILDREN[conn.kind].dec()
-        if conn.stream is not None:
-            state = conn.stream._state
-            if state.heartbeat_timer is not None:
-                self.cancel_timer(state.heartbeat_timer)
-            conn.stream._mark_dead()
+        if conn.stream is not None and conn.stream.heartbeat_timer is not None:
+            self.cancel_timer(conn.stream.heartbeat_timer)
         cleanups, conn.cleanups = conn.cleanups, []
         for cleanup in cleanups:
             self._run_cleanup(cleanup)

@@ -32,16 +32,20 @@ front (:class:`_HTTPFront`), route table and edge hooks
 
 The event stream is the server-side half of ``subscribe()``: each line is one
 :func:`~repro.automl.events.event_to_wire` payload carrying the job's
-monotonic ``seq``.  A client that lost its connection reconnects with
-``last_seq=<highest seq it saw>``; the gap backfills from the **durable
-event log** first (so replay works even when the in-memory bus ring rotated
-or the whole process restarted — see :mod:`repro.automl.eventlog`), then the
-live subscription takes over, de-duplicated by seq.  Live delivery keeps the
-bus's drop-oldest semantics, with the per-connection queue bound settable
-via ``?max_queue=`` (drops are counted in
-``anttune_event_queue_dropped_total``).  Blank heartbeat lines are emitted
-while the stream idles so dead connections are noticed and their resources
-released.
+monotonic ``seq``.  Each stream is a cursor: the edge keeps the last seq it
+wrote and reads the lines after it from the job's window, the bus history,
+no further than the stream's own subscription has been delivered (the
+durable log's is delivered first, so a stream never runs ahead of the log).
+A cursor older than that history — a client reconnecting with
+``last_seq=<highest seq it saw>``, a job evicted from the bus or finished
+before a restart, a reader more than ``history_limit`` events behind —
+reads the **durable event log** in write-buffer-sized chunks, then returns
+to the history (see :mod:`repro.automl.eventlog`).  Without a log such a
+reader skips to the history, and the skipped events count in
+``anttune_event_queue_dropped_total``; that is the only way a stream loses
+events.  Query parameters other than ``last_seq`` are ignored.  Blank
+heartbeat lines are emitted while the stream idles so dead connections are
+noticed and their resources released.
 
 Constructed with ``recover=True`` (the CLI's ``serve --recover``), the
 wrapper runs :meth:`AntTuneServer.recover
@@ -72,7 +76,7 @@ for anything fancier.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.automl import metrics as _metrics
 from repro.automl.events import JobStateChanged, event_wire_bytes
@@ -90,7 +94,7 @@ from repro.automl.remote.edge import (
     _job_id_segment,
     json_reply,
 )
-from repro.automl.server import AntTuneServer
+from repro.automl.server import AntTuneServer, EventWindow
 from repro.exceptions import TrialError
 from repro.utils.rng import new_rng
 
@@ -381,56 +385,73 @@ class _TuneApp(_EndpointApp):
     # -- event streams --------------------------------------------------- #
     def stream_begin(self, args: object, params: Dict[str, str],
                      request_id: Optional[str], sink) -> None:
-        """``/events``: wire one job's feed into a stream sink.
-
-        ``last_seq`` skips everything the client already saw.  The gap
-        backfills from the durable event log first, then live bus frames
-        take over — the subscription attaches *before* the disk read, both
-        sides overlap rather than gap, and the sink de-duplicates by seq.
-        Live frames are the event's shared wire bytes
-        (:func:`~repro.automl.events.event_wire_bytes`): serialized once,
-        reused by every subscriber and the event log.  ``max_queue`` bounds
-        this connection's live frame queue (drop-oldest; drops counted in
-        ``anttune_event_queue_dropped_total``).
-        """
+        """``/events``: a cursor over one job's window, from ``last_seq``."""
         job_id = _job_id_segment(args)
         last_seq = _int_param(params, "last_seq", -1)
-        max_queue = _int_param(params, "max_queue", 1024)
-        if max_queue < 1:
-            raise ProtocolError("max_queue must be >= 1")
-        tune = self.remote.tune_server
-        sink.live_bound = max_queue
-        sink.drop_hook = lambda count: tune.note_stream_drops(job_id, count)
+        window = self.remote.tune_server.open_event_stream(job_id,
+                                                           wake=sink.wake)
+        sink.on_close(window.close)
+        sink.start(_TuneFeed(window), last_seq)
 
-        def push(event) -> None:
-            sink.live(event_wire_bytes(event), event.seq,
-                      isinstance(event, JobStateChanged) and event.terminal)
 
-        backfill, subscription = tune.open_event_stream(
-            job_id, last_seq=last_seq, max_queue=max_queue, callback=push)
-        if subscription is not None:
-            sink.on_close(subscription.close)
-        if not sink.start():
-            return
-        sent = last_seq  # highest seq emitted; the de-dup watermark
-        for event in backfill:
-            if event.seq <= sent:
-                continue
-            if not sink.emit(event_wire_bytes(event)):
-                return  # client gone or stalled out its grace
-            sent = event.seq
+class _TuneFeed:
+    """A tune-server stream's frames: its :class:`EventWindow` as wire lines.
+
+    Each frame is the event's shared wire bytes
+    (:func:`~repro.automl.events.event_wire_bytes`): serialised once, reused
+    by every stream and the event log.
+    """
+
+    def __init__(self, window: EventWindow) -> None:
+        self._window = window
+
+    def read(self, after_seq: int, max_bytes: int):
+        """The history's frames after the cursor; None to read the log."""
+        window = self._window
+        events = window.recent(after_seq)
+        if events is None:
+            if window.log is not None:
+                return None
+            after_seq = window.skip(after_seq)
+            events = window.recent(after_seq) or []
+        return self._frames(events, after_seq, max_bytes)
+
+    def backlog(self, after_seq: int, max_bytes: int):
+        """One chunk of the durable log after the cursor."""
+        window = self._window
+        # Read before the log: every seq up to it is in the log by now.
+        seen = window.seen
+        frames, cursor, end = self._frames(window.logged(after_seq),
+                                           after_seq, max_bytes)
+        if not frames and not end:
+            if not window.live:
+                end = True  # a log-only job: the log was the whole story
+            elif cursor < seen:
+                cursor = window.skip(cursor)  # lost from the log as well
+            # else the next event is not logged yet: its delivery wakes us
+        return frames, cursor, end
+
+    def _frames(self, events, cursor: int, max_bytes: int):
+        frames: List[bytes] = []
+        size = 0
+        end = False
+        for event in events:
+            if event.seq > cursor + 1:
+                # A hole in the log (compacted or torn): counted, like a skip.
+                self._window.dropped(event.seq - cursor - 1)
+            data = event_wire_bytes(event)
+            frames.append(data)
+            size += len(data)
+            cursor = event.seq
             if isinstance(event, JobStateChanged) and event.terminal:
-                # The log already holds the stream's end; live frames queued
-                # meanwhile repeat what was just sent.
-                sink.end(sent)
-                return
-        if subscription is None:
-            # Log-only job (finished before a restart): the backfill was the
-            # whole story — and it ended terminal above, or the log was
-            # compacted down to a tail the client already has.
-            sink.end(sent)
-            return
-        sink.backfill_done(sent)
+                end = True
+                break
+            if size >= max_bytes:
+                break
+        final = self._window.final
+        if final is not None and cursor >= final:
+            end = True  # the client already has the terminal event
+        return frames, cursor, end
 
 
 class _HTTPFront:
@@ -538,8 +559,8 @@ class RemoteTuneServer(_HTTPFront):
             port — interrupted jobs are auto-resumed or finalised before any
             client can connect; the summary lands in :attr:`recovery`.
             Requires file-backed storage.
-        edge_workers: bounded worker pool for control handlers and stream
-            backfills.
+        edge_workers: bounded worker pool for control handlers (stream
+            backlog reads run on one thread of their own).
         write_buffer_limit: per-connection cap (bytes) on buffered unsent
             output before backpressure engages.
         **server_kwargs: forwarded to :class:`AntTuneServer` when

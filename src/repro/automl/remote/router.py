@@ -170,13 +170,13 @@ class _RouterJob:
     """The router's authoritative record of one placed job.
 
     ``journal_bytes`` holds the re-stamped events as NDJSON lines, where
-    index == router seq, so replay is a slice and gaplessness is
+    index == router seq, so a stream is a cursor into it and gaplessness is
     structural; every streaming connection shares the same line objects
-    (serialise once, fan out N times).  ``listeners``
-    are the edge's per-connection push callbacks, invoked under
-    ``cond`` at append time.  ``incarnation`` counts (re)attachments to a
-    backend; a relay thread carries the incarnation it was started under
-    and discards everything once the numbers diverge.
+    (serialise once, fan out N times).  ``listeners`` are invoked under
+    ``cond`` at append time: the edge streams' doorbells and parked waits.
+    ``incarnation`` counts (re)attachments to a backend; a relay thread
+    carries the incarnation it was started under and discards everything
+    once the numbers diverge.
     """
 
     def __init__(self, job_id: int, study_name: str, trace_id: str,
@@ -887,50 +887,51 @@ class _RouterApp(_http._EndpointApp):
     # -- event streams --------------------------------------------------- #
     def stream_begin(self, args: object, params: Dict[str, str],
                      request_id: Optional[str], sink) -> None:
-        """Wire one journal into a stream sink: snapshot replay + listener.
-
-        Registering the listener and slicing the journal happen atomically
-        under ``job.cond``, so the live push takes over exactly where the
-        snapshot ends — gapless by construction, and every frame is the
-        journal's shared pre-serialised line.
-        """
+        """``/events``: a cursor over one job's journal, from ``last_seq``."""
         job_id = _job_id_segment(args)
         last_seq = _int_param(params, "last_seq", -1)
-        max_queue = _int_param(params, "max_queue", 1024)
-        if max_queue < 1:
-            raise ProtocolError("max_queue must be >= 1")
         job = self.remote.router._job(job_id)
-        sink.live_bound = max_queue
 
         def listen(data: bytes, seq: int, terminal: bool) -> None:
-            sink.live(data, seq, terminal)
+            sink.wake()
 
-        start_index = max(0, last_seq + 1)
         with job.cond:
-            snapshot = list(job.journal_bytes[start_index:])
-            terminal_now = job.terminal
-            if not terminal_now:
-                job.listeners.append(listen)
-        if not terminal_now:
-            def remove() -> None:
-                with job.cond:
-                    try:
-                        job.listeners.remove(listen)
-                    except ValueError:
-                        pass
+            job.listeners.append(listen)
 
-            sink.on_close(remove)
-        if not sink.start():
-            return
-        sent = start_index - 1
-        for data in snapshot:
-            sent += 1  # journal index == seq: the slice is contiguous
-            if not sink.emit(data):
-                return
-        if terminal_now:
-            sink.end(sent)
-            return
-        sink.backfill_done(sent)
+        def remove() -> None:
+            with job.cond:
+                try:
+                    job.listeners.remove(listen)
+                except ValueError:
+                    pass
+
+        sink.on_close(remove)
+        sink.start(_JournalFeed(job), last_seq)
+
+
+class _JournalFeed:
+    """A router stream's frames: the job's journal lines, index == seq.
+
+    The journal keeps every line for the job's life, so a cursor is never
+    older than it and the edge never needs a backlog read.
+    """
+
+    def __init__(self, job: _RouterJob) -> None:
+        self._job = job
+
+    def read(self, after_seq: int, max_bytes: int):
+        job = self._job
+        frames: List[bytes] = []
+        size = 0
+        with job.cond:
+            lines = job.journal_bytes
+            cursor = max(after_seq, -1)
+            while cursor + 1 < len(lines) and size < max_bytes:
+                cursor += 1
+                frames.append(lines[cursor])
+                size += len(lines[cursor])
+            end = job.terminal and cursor >= len(lines) - 1
+        return frames, cursor, end
 
 
 class RemoteRouterServer(_http._HTTPFront):

@@ -53,7 +53,7 @@ import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -215,6 +215,85 @@ class _StorageWriter:
                 self._storage.set_status(self._name, event.state)
         except Exception:  # noqa: BLE001 - keep draining to terminal
             pass
+
+
+class EventWindow:
+    """One stream reader's view of a job's events, read by seq cursor.
+
+    Every event is kept once, indexed by seq: in the bus history (the newest
+    ``history_limit`` events of each job this process knows) and, with
+    file-backed storage, in the durable event log.  A window reads the bus
+    history no further than :attr:`seen`, the last seq its own subscription
+    was delivered; the log's callback subscription is delivered each event
+    first, so a reader never gets ahead of the log.  A cursor older than the
+    history reads the log instead (:meth:`logged`); without a log the reader
+    jumps to the history and the events it skipped are counted as drops
+    (:meth:`skip`).  A job known only to the log (finished before a
+    restart) has no subscription: its whole stream is the log.
+
+    Built by :meth:`AntTuneServer.open_event_stream`; :meth:`close` detaches
+    the subscription.
+    """
+
+    def __init__(self, bus: EventBus, job_id: int, log,
+                 live: bool, wake: Optional[Callable[[], None]]) -> None:
+        self.job_id = job_id
+        #: The durable event log, or None (no file-backed storage).
+        self.log = log
+        #: The last seq this window's subscription was delivered.
+        self.seen = -1
+        #: The terminal event's seq, once delivered.
+        self.final: Optional[int] = None
+        self._bus = bus
+        self._wake = wake
+        self._subscription = (bus.subscribe(job_id, callback=self._observe)
+                              if live else None)
+
+    @property
+    def live(self) -> bool:
+        """Whether the job is on this process's bus (not known only to the log)."""
+        return self._subscription is not None
+
+    def _observe(self, event: Event) -> None:
+        self.seen = event.seq
+        if isinstance(event, JobStateChanged) and event.terminal:
+            self.final = event.seq
+        if self._wake is not None:
+            self._wake()
+
+    def recent(self, after_seq: int) -> Optional[List[Event]]:
+        """The history's events after ``after_seq``, up to :attr:`seen`.
+
+        Returns None when the history no longer holds the event after the
+        cursor (or the job is known only to the log).
+        """
+        if self._subscription is None:
+            return None
+        oldest, events = self._bus.history(self.job_id, after_seq, self.seen)
+        return None if oldest > after_seq + 1 else events
+
+    def logged(self, after_seq: int) -> Iterator[Event]:
+        """The durable log's events after ``after_seq``."""
+        return self.log.read(self.job_id, after_seq=after_seq)
+
+    def skip(self, after_seq: int) -> int:
+        """Jump the cursor to just before the history, counting the skip.
+
+        Returns the new cursor.  The skipped events count in
+        ``anttune_event_queue_dropped_total`` for the job.
+        """
+        oldest, _ = self._bus.history(self.job_id, after_seq, after_seq)
+        self.dropped(oldest - after_seq - 1)
+        return max(after_seq, oldest - 1)
+
+    def dropped(self, count: int) -> None:
+        """Count ``count`` events this reader will never receive."""
+        self._bus.note_drops(self.job_id, count)
+
+    def close(self) -> None:
+        """Detach from the bus (idempotent)."""
+        if self._subscription is not None:
+            self._subscription.close()
 
 
 class AntTuneServer:
@@ -646,52 +725,26 @@ class AntTuneServer:
 
         return self.subscribe(job_id, callback=observe)
 
-    def note_stream_drops(self, job_id: int, count: int) -> None:
-        """Fold transport-side stream drops into the bus's drop accounting.
+    def open_event_stream(self, job_id: int,
+                          wake: Optional[Callable[[], None]] = None
+                          ) -> EventWindow:
+        """A cursor reader's window onto one job's full event history.
 
-        The async edge bounds each streaming connection's frame queue
-        itself (drop-oldest); this routes those drops into the same
-        telemetry and ``anttune_event_queue_dropped_total`` series the
-        bus's own subscription queues use.
-        """
-        self._bus.note_drops(job_id, count)
-
-    def open_event_stream(self, job_id: int, last_seq: int = -1,
-                          max_queue: int = 1024,
-                          callback: Optional[Callable[[Event], None]] = None):
-        """A job's full event history: durable backfill plus live stream.
-
-        This is what the remote ``GET /v1/jobs/{id}/events?last_seq=`` serves
-        from.  Unlike :meth:`subscribe` — whose replay is bounded by the bus's
-        in-memory history and empty in a freshly restarted process — the
-        backfill comes from the durable event log, so a client resuming with
-        ``last_seq`` sees a seamless stream across bus-ring rotation *and*
-        server restarts.
-
-        The subscription is opened *before* the disk read starts, which is
-        what makes the merge gapless: the subscription observes everything
-        published after it attached (plus the bus's bounded replay), and the
-        log — written synchronously at publish time — holds everything before
-        it.  The two overlap rather than gap; consumers de-duplicate by
-        skipping events whose ``seq`` they have already emitted.
+        This is what the remote ``GET /v1/jobs/{id}/events?last_seq=``
+        serves from.  Unlike :meth:`subscribe` — whose replay is bounded by
+        the bus's in-memory history and empty in a freshly restarted
+        process — a window reads the bus history and, behind it, the
+        durable event log, so a reader resuming from any seq sees a
+        gapless stream across bus-history rotation *and* server restarts.
 
         Args:
             job_id: the job to stream.
-            last_seq: highest seq the caller already has; the backfill starts
-                after it.
-            max_queue: live-subscription queue bound (drop-oldest).
-            callback: optional push delivery for the live side — forwarded
-                to :meth:`subscribe`, so the subscription replays history
-                and then delivers synchronously per publish instead of
-                queueing for iteration (the async edge's mode).
+            wake: called on the publisher's thread after each event the
+                window's subscription is delivered (keep it fast); the
+                async edge passes its "this stream has data" doorbell.
 
         Returns:
-            ``(backfill, subscription)`` — an iterator over logged events
-            with ``seq > last_seq``, and a live
-            :class:`~repro.automl.events.Subscription`, or None in its place
-            when the job is known only to the log (a pre-restart job this
-            process finished reconciling, or one recovered read-only):
-            the backfill then already ends with the terminal event.
+            An :class:`EventWindow`; close it when the reader goes away.
 
         Raises:
             TrialError: the job is unknown to both the server and the log.
@@ -700,15 +753,9 @@ class AntTuneServer:
             known = job_id in self._jobs
         known = known or job_id in self._recovered
         log = self.event_log
-        logged = log is not None and log.has_job(job_id)
-        if not known and not logged:
+        if not known and not (log is not None and log.has_job(job_id)):
             raise TrialError(f"unknown job id {job_id}")
-        subscription = (self._bus.subscribe(job_id, callback=callback,
-                                            max_queue=max_queue)
-                        if known else None)
-        backfill = (log.read(job_id, after_seq=last_seq) if logged
-                    else iter(()))
-        return backfill, subscription
+        return EventWindow(self._bus, job_id, log, live=known, wake=wake)
 
     # ------------------------------------------------------------------ #
     # Crash recovery
@@ -911,7 +958,6 @@ class AntTuneServer:
             "trace_id": (meta.get("trace_id")
                          if isinstance(meta.get("trace_id"), str) else None),
             "recovered": action,
-            "telemetry": self._telemetry_snapshot(job_id),
         }
 
     def _run_job(self, job: TuneJob) -> None:
@@ -1192,12 +1238,11 @@ class AntTuneServer:
             A dict with ``job_id``, ``state``, ``finished``, ``error``,
             ``num_trials``, per-state ``states`` counts, ``best_value``
             (COMPLETED trials only), ``priority``, ``workers``,
-            ``study_name``, ``trace_id`` (the correlation id stamped on the
-            job's events) and a ``telemetry`` sub-dict making backpressure
-            observable end to end: ``transport_dropped`` (report records
-            shed by the shared executor's telemetry channel — server-wide,
-            the pool is shared) and ``event_queue_dropped`` (events shed by
-            this job's lagging subscriber queues).
+            ``study_name`` and ``trace_id`` (the correlation id stamped on
+            the job's events).  Backpressure counters live in the metrics
+            registry (``anttune_transport_dropped_total``,
+            ``anttune_event_queue_dropped_total``; see
+            :meth:`server_status`).
 
         Raises:
             TrialError: unknown job id.
@@ -1235,33 +1280,6 @@ class AntTuneServer:
             "workers": list(job.workers),
             "study_name": job.study_name,
             "trace_id": job.trace_id,
-            "telemetry": self._telemetry_snapshot(job_id),
-        }
-
-    def _transport_dropped(self) -> int:
-        """Telemetry report records shed by the shared executor (0 if unbuilt)."""
-        with self._init_lock:
-            executor = self._executor
-        return 0 if executor is None else executor.telemetry_dropped
-
-    def _telemetry_snapshot(self, job_id: Optional[int] = None) -> Dict[str, int]:
-        """The one backpressure dict every status shape embeds.
-
-        ``transport_dropped`` is server-wide either way (the worker pool is
-        shared); ``event_queue_dropped`` is scoped to ``job_id`` when given,
-        or summed across every job's subscriber queues otherwise.  Both
-        counters are cumulative for the process lifetime — they survive pool
-        rebuilds and bus re-priming — and are also exported as the
-        ``anttune_transport_dropped_total`` / ``anttune_event_queue_dropped_total``
-        metric families.  The dict's keys are a **deprecated alias**: new
-        consumers should scrape ``/v1/metrics`` or read
-        ``server_status()["metrics"]`` instead.
-        """
-        dropped = (self._bus.dropped(job_id) if job_id is not None
-                   else self._bus.dropped_total())
-        return {
-            "transport_dropped": self._transport_dropped(),
-            "event_queue_dropped": dropped,
         }
 
     def jobs(self) -> List[Dict[str, object]]:
@@ -1285,10 +1303,8 @@ class AntTuneServer:
         :meth:`~repro.automl.metrics.MetricsRegistry.snapshot` of every
         instrumented hot path (trial-loop passes, ask/tell latency, trial
         queue-wait/run times, event publish/append/fsync timings, drop
-        counters).  The flat ``telemetry`` sub-dict (``transport_dropped``,
-        ``event_queue_dropped``) is kept as a deprecated alias of the
-        corresponding counter families; prefer ``metrics`` or the
-        ``GET /v1/metrics`` Prometheus exposition.
+        counters), also served as the ``GET /v1/metrics`` Prometheus
+        exposition.
         """
         with self._jobs_lock:
             jobs = list(self._jobs.values())
@@ -1313,9 +1329,6 @@ class AntTuneServer:
             "tickets": tickets,
             "storage": None if self.storage is None else self.storage.path,
             "event_log": None if log is None else log.stats(),
-            # Deprecated alias kept for older clients; the same counters (and
-            # much more) live in the structured "metrics" section below.
-            "telemetry": self._telemetry_snapshot(),
             "metrics": _metrics.REGISTRY.snapshot(),
         }
 

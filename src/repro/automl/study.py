@@ -383,9 +383,8 @@ class Study:
         The study must be freshly constructed with the same space, algorithm
         and config as the original run.  The trial history is rebuilt, finished
         trials are re-told to the algorithm, and the next :meth:`optimize`
-        call runs only the remaining trial budget.  Version 1 payloads (no
-        algorithm/RNG state) are accepted and migrated: history and budget are
-        restored, and the algorithm continues from its fresh-seeded state.
+        call runs only the remaining trial budget.  Only
+        :data:`CHECKPOINT_VERSION` payloads are accepted.
 
         Trials that were still in flight when the payload was captured (the
         async scheduler checkpoints while other slots keep running) carry no
@@ -393,7 +392,7 @@ class Study:
         zombie RUNNING entries, and their slots re-run on resume.
         """
         version = payload.get("version")
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise TrialError(f"unsupported study checkpoint version: {version!r}")
         saved_algorithm = payload.get("algorithm")
         if saved_algorithm != self.algorithm.name:
@@ -412,15 +411,14 @@ class Study:
             for trial in self.trials:
                 if trial.is_finished:
                     self.algorithm.tell(trial)
-            # v2: saved state wins over whatever re-telling mutated — it was
+            # Saved state wins over whatever re-telling mutated — it was
             # captured *after* those tells in the original run.
-            if version >= 2:
-                rng_state = payload.get("rng_state")
-                if rng_state is not None:
-                    self._rng.bit_generator.state = rng_state
-                algorithm_state = payload.get("algorithm_state")
-                if algorithm_state is not None:
-                    self.algorithm.set_state(algorithm_state)
+            rng_state = payload.get("rng_state")
+            if rng_state is not None:
+                self._rng.bit_generator.state = rng_state
+            algorithm_state = payload.get("algorithm_state")
+            if algorithm_state is not None:
+                self.algorithm.set_state(algorithm_state)
         return self
 
     def save_checkpoint(self, path: str) -> None:

@@ -268,10 +268,19 @@ class FleetHarness:
             args += ["--lease-seconds", str(self.lease_seconds)]
         if recover:
             args.append("--recover")
-        backend.proc = subprocess.Popen(
-            args, env=self.env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        backend.proc = self._spawn(args, f"backend-{backend.index}")
         backend.paused = False
+
+    def _spawn(self, args: List[str], name: str) -> subprocess.Popen:
+        """Start a child whose output goes to ``<name>.log`` in the temp dir.
+
+        A file, not a pipe: nothing has to drain it, so a chatty child can
+        never block on a full pipe buffer.  The child holds its own copy of
+        the descriptor; the harness closes its copy at once.
+        """
+        with open(self.tmp_path / f"{name}.log", "ab") as log:
+            return subprocess.Popen(args, env=self.env, stdout=log,
+                                    stderr=subprocess.STDOUT)
 
     def start_worker(self) -> str:
         """Spawn one pull worker polling every backend; returns its name."""
@@ -281,10 +290,7 @@ class FleetHarness:
                 *[b.url for b in self.backends],
                 "--name", name, "--poll-interval", "0.05",
                 "--run-seconds", str(self.run_seconds)]
-        proc = subprocess.Popen(args, env=self.env,
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.STDOUT)
-        self.workers.append(_Worker(name, proc))
+        self.workers.append(_Worker(name, self._spawn(args, name)))
         return name
 
     # ------------------------------------------------------------------ #

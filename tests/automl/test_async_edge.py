@@ -18,13 +18,23 @@ import sys
 import textwrap
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import TrialReport
+from repro.automl.eventlog import EventLog
+from repro.automl.events import (
+    EventBus,
+    JobStateChanged,
+    TrialReport,
+    TrialStarted,
+    event_wire_bytes,
+)
 from repro.automl.remote import AntTuneClient, RemoteTuneServer
-from repro.automl.remote.edge import AsyncHTTPEdge
+from repro.automl.remote.edge import AsyncHTTPEdge, _Connection, _StreamSink
+from repro.automl.remote.http_server import _TuneApp
+from repro.automl.server import EventWindow
 
 HELPER = "async_edge_helper"
 
@@ -72,12 +82,8 @@ def _release(helper: str) -> None:
     sys.modules[helper].RELEASE.set()
 
 
-def _stream_request(job_id: int, last_seq: int = -1,
-                    max_queue: int | None = None) -> bytes:
-    query = f"last_seq={last_seq}"
-    if max_queue is not None:
-        query += f"&max_queue={max_queue}"
-    return (f"GET /v1/jobs/{job_id}/events?{query} HTTP/1.1\r\n"
+def _stream_request(job_id: int, last_seq: int = -1) -> bytes:
+    return (f"GET /v1/jobs/{job_id}/events?last_seq={last_seq} HTTP/1.1\r\n"
             f"Host: t\r\n\r\n").encode()
 
 
@@ -305,32 +311,28 @@ class TestParkedWait:
 
 
 # --------------------------------------------------------------------------- #
-# Slow readers: bounded queues, counted drops, stall disconnect
+# Slow readers: log catch-up, stall disconnect, no pinned workers
 # --------------------------------------------------------------------------- #
 class TestSlowReaders:
-    def test_bounded_live_queue_drops_counted_backfill_stays_gapless(
-            self, helper_module, tmp_path):
-        """A tiny ``?max_queue=`` bounds the live frame queue (drop-oldest,
-        drops folded into the bus's accounting) while the durable-log
-        backfill still delivers the complete story — drops cost duplicate
-        suppression work, never data."""
+    def test_late_reader_behind_the_history_is_gapless(self, helper_module,
+                                                       tmp_path):
+        """A reader further behind than the bus history catches up from the
+        durable log, then follows the history: every seq once, none
+        dropped."""
         with RemoteTuneServer(num_workers=1, backend="thread",
                               storage=str(tmp_path / "tune.db")) as remote:
+            # Before any submit: a history far shorter than the burst.
+            remote.tune_server._bus = EventBus(history_limit=8)
             client = AntTuneClient(remote.url, timeout=10.0)
             job_id = client.submit(f"{helper_module}:SPACE",
                                    f"{helper_module}:burst_then_gate",
                                    config={"n_trials": 1}, seed=9)
             # Let the 30-report burst publish (and hit the durable log)
-            # before the late subscriber shows up.
+            # before the late reader shows up.
             for event in client.subscribe(job_id):
                 if isinstance(event, TrialReport) and event.step >= 29:
                     break
-            before = remote.tune_server.server_status()[
-                "telemetry"]["event_queue_dropped"]
-            # max_queue=4 cannot hold the 30-event replay: the live queue
-            # sheds oldest; the log backfill covers the gap.
-            mux = _Mux(remote.address,
-                       [_stream_request(job_id, max_queue=4)])
+            mux = _Mux(remote.address, [_stream_request(job_id)])
             try:
                 assert mux.pump_headers(10.0)
                 _release(helper_module)
@@ -341,14 +343,19 @@ class TestSlowReaders:
                 assert len(events) >= 30
             finally:
                 mux.close()
-            after = remote.tune_server.server_status()[
-                "telemetry"]["event_queue_dropped"]
-            assert after > before, "shed live frames were not counted"
+            assert remote.tune_server._bus.dropped(job_id) == 0
 
     def test_stalled_reader_disconnected_after_send_grace(self):
         """A client that stops *reading* is torn down once its write makes
         no progress for the send-timeout grace — bounded memory, freed
         resources, and the stream can resume later with ``last_seq``."""
+
+        class EndlessFeed:
+            chunk = b"x" * 65536 + b"\n"
+
+            def read(self, after_seq, max_bytes):
+                frames = [self.chunk] * (max_bytes // len(self.chunk) + 1)
+                return frames, after_seq + len(frames), False
 
         class StallApp:
             heartbeat_seconds = 5.0
@@ -366,14 +373,8 @@ class TestSlowReaders:
                 return None
 
             def stream_begin(self, args, params, request_id, sink):
-                if not sink.start():
-                    return
-                chunk = b"x" * 65536 + b"\n"
-                for _ in range(512):  # 32 MiB: beyond any kernel buffer pair
-                    if not sink.emit(chunk):
-                        self.stalled.set()
-                        return
-                sink.end()  # pragma: no cover - the client never drains it
+                sink.on_close(self.stalled.set)
+                sink.start(EndlessFeed(), -1)
 
         app = StallApp()
         edge = AsyncHTTPEdge(("127.0.0.1", 0), app,
@@ -382,8 +383,8 @@ class TestSlowReaders:
             sock = socket.socket()
             try:
                 # Clamp the receive window *before* connecting: loopback
-                # autotuning would otherwise absorb the whole payload into
-                # kernel buffers and the reader would never look stalled.
+                # autotuning would otherwise absorb megabytes into kernel
+                # buffers and the reader would never look stalled.
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
                 sock.settimeout(10.0)
                 sock.connect(edge.address)
@@ -408,89 +409,333 @@ class TestSlowReaders:
         finally:
             edge.stop()
 
+    def test_stalled_log_readers_do_not_pin_the_workers(self, tmp_path):
+        """Twice as many stalled ``?last_seq=-1`` readers of a 20k-event job
+        as the edge has workers: each log catch-up chunk is a task on the
+        edge's backlog thread that never waits on its reader, so
+        ``/v1/health`` still answers at once."""
+        log = EventLog(str(tmp_path / "events"))
+        bus = EventBus()
+        bus.subscribe(1, callback=log.append)
+        for seq in range(20_000):
+            bus.publish(TrialReport(trial_id=seq // 100, step=seq % 100,
+                                    value=float(seq), job_id=1))
+        with RemoteTuneServer(_BareTune(bus, log), edge_workers=8) as remote:
+            readers = []
+            try:
+                for _ in range(16):
+                    sock = socket.socket()
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.settimeout(10.0)
+                    sock.connect(remote.address)
+                    sock.sendall(_stream_request(1))
+                    readers.append(sock)  # never read
+                time.sleep(0.5)  # let every stream read its first chunk
+                start = time.monotonic()
+                with urllib.request.urlopen(remote.url + "/v1/health",
+                                            timeout=10.0) as response:
+                    assert json.loads(response.read())["ok"] is True
+                assert time.monotonic() - start < 1.0
+            finally:
+                for sock in readers:
+                    sock.close()
+        log.close()
+
 
 # --------------------------------------------------------------------------- #
-# The stream sink and the loop driven by hand (no server thread, no sleeps)
+# The stream cursor, its loop driven by hand (log chunks on the backlog thread)
 # --------------------------------------------------------------------------- #
-class _FakeTune:
-    """``open_event_stream`` whose subscription replays the log's newest
-    events into the sink before the backfill is read — the overlap the sink
-    must de-duplicate."""
+class _BareTune:
+    """The slice of AntTuneServer a stream uses, over a bare bus and log
+    (None: a server without file-backed storage)."""
 
-    def __init__(self, events, live_from: int) -> None:
-        self.events = events
-        self.live_from = live_from
+    def __init__(self, bus, log) -> None:
+        self.bus = bus
+        self.log = log
 
-    def note_stream_drops(self, job_id, count) -> None:
-        raise AssertionError("no live frame may be dropped")
+    def open_event_stream(self, job_id, wake=None):
+        return EventWindow(self.bus, job_id, self.log, live=True, wake=wake)
 
-    def open_event_stream(self, job_id, last_seq=-1, max_queue=1024,
-                          callback=None):
-        for event in self.events[self.live_from:]:
-            callback(event)
 
-        class Subscription:
-            def close(self) -> None:
-                pass
+class _Remote:
+    """What an endpoint app reads off its front: the service and the hooks."""
 
-        return iter(self.events), Subscription()
+    def __init__(self, tune_server=None, router=None) -> None:
+        self.tune_server = tune_server
+        self.router = router
+
+    def log(self, line) -> None:
+        pass
+
+    def check_auth(self, token) -> bool:
+        return True
+
+
+class _HandDriven:
+    """One stream over a socketpair on an edge whose loop the test runs.
+
+    The server side has a 4-KB send buffer, so most of a burst waits in the
+    edge's own write buffer, as for a slow reader.
+    """
+
+    def __init__(self, app) -> None:
+        self.app = app
+        self.edge = AsyncHTTPEdge(("127.0.0.1", 0), app,
+                                  write_buffer_limit=16 * 1024)
+        server_side, self.client = socket.socketpair()
+        server_side.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        server_side.setblocking(False)
+        self.client.setblocking(False)
+        self.conn = _Connection(server_side, "pair")
+        self.edge._conns.add(self.conn)
+        self.edge._selector.register(server_side, selectors.EVENT_READ,
+                                     ("conn", self.conn))
+        self.received = bytearray()
+        self.closed = False
+
+    def open(self, job_id: int, last_seq: int = -1) -> None:
+        self.app.stream_begin(str(job_id), {"last_seq": str(last_seq)}, None,
+                              _StreamSink(self.edge, self.conn, None))
+
+    def step(self) -> None:
+        """One loop pass, then read whatever reached the client."""
+        self.edge._loop_pass()
+        self.read()
+
+    def read(self) -> None:
+        try:
+            while True:
+                chunk = self.client.recv(1 << 16)
+                if not chunk:
+                    self.closed = True
+                    return
+                self.received += chunk
+        except BlockingIOError:
+            pass
+
+    def seqs(self):
+        return [frame["seq"] for frame in self.frames()]
+
+    def frames(self):
+        status, frames = _parse_stream(self.received)
+        assert status == 200
+        return frames
+
+    def finish(self, passes: int = 400):
+        """Run the loop until the edge closes the stream; its frames."""
+        for _ in range(passes):
+            self.step()
+            if self.closed:
+                break
+        else:
+            pytest.fail("the stream never closed")
+        return self.frames()
+
+    def close(self) -> None:
+        self.client.close()
+        self.edge.stop()
+
+
+def _report(n: int, job_id: int = 1, seq: int = -1) -> TrialReport:
+    return TrialReport(trial_id=n, value=float(n), job_id=job_id, seq=seq)
+
+
+def _assert_one_terminal_last(frames) -> None:
+    terminals = [frame for frame in frames
+                 if frame["type"] == "JobStateChanged" and frame["terminal"]]
+    assert terminals == [frames[-1]]
 
 
 class TestStreamSinkByHand:
-    def test_backfill_ending_at_terminal_sends_each_seq_once(self):
-        from repro.automl.events import JobStateChanged, TrialStarted
-        from repro.automl.remote.edge import _Connection, _StreamSink
-        from repro.automl.remote.http_server import _TuneApp
+    def _tune(self, tmp_path, logged: bool, history_limit: int = 8):
+        bus = EventBus(history_limit=history_limit)
+        log = EventLog(str(tmp_path / "events")) if logged else None
+        if log is not None:
+            bus.subscribe(1, callback=log.append)  # first, as on a server
+        tune = _BareTune(bus, log)
+        return tune, _TuneApp(_Remote(tune_server=tune))
 
+    def test_backfill_ending_at_terminal_sends_each_seq_once(self, tmp_path):
+        tune, app = self._tune(tmp_path, logged=True, history_limit=6)
         last = 11
-        events = [TrialStarted(trial_id=seq, params={"pad": "x" * 4096},
-                               job_id=1, seq=seq) for seq in range(last)]
-        events.append(JobStateChanged(state="completed", terminal=True,
-                                      job_id=1, seq=last))
-
-        class Remote:
-            tune_server = _FakeTune(events, live_from=6)
-
-            def log(self, line) -> None:
-                pass
-
-        app = _TuneApp(Remote())
-        edge = AsyncHTTPEdge(("127.0.0.1", 0), app)
-        server_side, client_side = socket.socketpair()
+        for seq in range(last):
+            tune.bus.publish(TrialStarted(trial_id=seq,
+                                          params={"pad": "x" * 4096},
+                                          job_id=1))
+        tune.bus.publish(JobStateChanged(state="completed", terminal=True,
+                                         job_id=1))
+        driven = _HandDriven(app)
         try:
-            # A small send buffer keeps most of the backfill in the edge's
-            # own buffer when the backfill ends, as for a slow reader.
-            server_side.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-            server_side.setblocking(False)
-            client_side.setblocking(False)
-            conn = _Connection(server_side, "pair")
-            edge._conns.add(conn)
-            edge._selector.register(server_side, selectors.EVENT_READ,
-                                    ("conn", conn))
-            sink = _StreamSink(edge, conn, None, send_timeout=5.0)
-            app.stream_begin("1", {"last_seq": "-1"}, None, sink)
-            received = bytearray()
-            for _ in range(200):
-                edge._loop_pass()
-                try:
-                    while True:
-                        chunk = client_side.recv(1 << 16)
-                        if not chunk:
-                            break
-                        received += chunk
-                except BlockingIOError:
-                    continue
-                break  # EOF: the edge closed the stream
-            else:
-                pytest.fail("the stream never closed")
+            driven.open(1)
+            frames = driven.finish()
         finally:
-            client_side.close()
-            edge.stop()
-        status, frames = _parse_stream(received)
-        assert status == 200
+            driven.close()
+            tune.log.close()
         assert [frame["seq"] for frame in frames] == list(range(last + 1))
         assert [frame["seq"] for frame in frames
                 if frame["type"] == "JobStateChanged"] == [last]
+
+    @pytest.mark.parametrize("logged", [True, False])
+    def test_reader_behind_the_history(self, tmp_path, logged):
+        """With a log: every seq once, in order, none dropped.  Without:
+        in order, and the missing seqs are exactly the drops counted."""
+        tune, app = self._tune(tmp_path, logged=logged)
+        for seq in range(40):  # five histories' worth before the reader
+            tune.bus.publish(_report(seq))
+        driven = _HandDriven(app)
+        try:
+            driven.open(1)
+            for seq in range(40, 80):
+                tune.bus.publish(_report(seq))
+                if seq % 10 == 0:
+                    driven.step()
+            tune.bus.publish(JobStateChanged(state="completed", terminal=True,
+                                             job_id=1))
+            frames = driven.finish()
+        finally:
+            driven.close()
+            if tune.log is not None:
+                tune.log.close()
+        seqs = [frame["seq"] for frame in frames]
+        assert seqs == sorted(set(seqs)), "out of order or repeated"
+        _assert_one_terminal_last(frames)
+        missing = 81 - len(seqs)
+        assert missing == tune.bus.dropped(1)
+        if logged:
+            assert seqs == list(range(81))
+        else:
+            assert missing > 0  # the reader really was behind
+
+    def test_router_reader_behind_gets_the_whole_journal(self):
+        from repro.automl.remote.router import TuneRouter, _RouterApp, _RouterJob
+
+        job = _RouterJob(3, "s", "t", "submit", {}, "http://backend", 0)
+
+        def append(seq: int, terminal: bool = False) -> None:
+            event = (JobStateChanged(state="completed", terminal=True,
+                                     job_id=3, seq=seq) if terminal
+                     else _report(seq, job_id=3, seq=seq))
+            with job.cond:
+                job.terminal = terminal
+                TuneRouter._append_line(job, event_wire_bytes(event),
+                                        terminal)
+
+        class Router:
+            def _job(self, job_id):
+                assert job_id == 3
+                return job
+
+        app = _RouterApp(_Remote(router=Router()))
+        for seq in range(9000):  # more than a bus history_limit
+            append(seq)
+        driven = _HandDriven(app)
+        try:
+            driven.open(3)
+            for seq in range(9000, 9040):
+                append(seq)
+                driven.step()
+            append(9040, terminal=True)
+            frames = driven.finish(passes=2000)
+        finally:
+            driven.close()
+        assert [frame["seq"] for frame in frames] == list(range(9041))
+        _assert_one_terminal_last(frames)
+
+    def test_stream_never_sends_a_seq_before_its_log_append_returns(
+            self, tmp_path):
+        """Each seq is already in the bus history while the log appends it;
+        a flush forced in the middle of that append must not send it."""
+        driven_box = []
+        early = []  # the bus swallows a callback's exceptions: collect
+
+        class CheckedLog(EventLog):
+            def append(self, event):
+                if driven_box:
+                    driven = driven_box[0]
+                    driven.edge._mark_dirty(driven.conn)
+                    driven.step()
+                    if event.seq in driven.seqs():
+                        early.append(event.seq)
+                super().append(event)
+
+        bus = EventBus(history_limit=8)
+        log = CheckedLog(str(tmp_path / "events"))
+        bus.subscribe(1, callback=log.append)
+        tune = _BareTune(bus, log)
+        app = _TuneApp(_Remote(tune_server=tune))
+        for seq in range(20):
+            bus.publish(_report(seq))
+        driven = _HandDriven(app)
+        try:
+            driven.open(1)
+            for _ in range(400):  # catch up from the log first
+                driven.step()
+                if driven.received and driven.seqs()[-1:] == [19]:
+                    break
+            driven_box.append(driven)
+            for seq in range(20, 60):
+                bus.publish(_report(seq))
+            bus.publish(JobStateChanged(state="completed", terminal=True,
+                                        job_id=1))
+            driven_box.clear()
+            frames = driven.finish()
+        finally:
+            driven.close()
+            log.close()
+        assert early == [], "seqs sent before their log append returned"
+        assert [frame["seq"] for frame in frames] == list(range(61))
+
+
+class TestConcurrentPublishers:
+    @pytest.mark.parametrize("logged", [True, False])
+    def test_streams_stay_exact_under_concurrent_publishers(self, tmp_path,
+                                                            logged):
+        """Eight threads publish into one job with a 2-event history and a
+        tiny switch interval, so events rotate out of the history between
+        their stamp and their log append; live streams served by the real
+        loop thread stay in order, and with a log they have no gap."""
+        bus = EventBus(history_limit=2)
+        log = EventLog(str(tmp_path / "events")) if logged else None
+        if log is not None:
+            bus.subscribe(1, callback=log.append)
+        app = _TuneApp(_Remote(tune_server=_BareTune(bus, log)))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        edge = AsyncHTTPEdge(("127.0.0.1", 0), app,
+                             write_buffer_limit=4096).start()
+        mux = _Mux(edge.address, [_stream_request(1)] * 3)
+        try:
+            assert mux.pump_headers(10.0)
+
+            def publish() -> None:
+                for n in range(200):
+                    bus.publish(_report(n))
+
+            publishers = [threading.Thread(target=publish) for _ in range(8)]
+            for thread in publishers:
+                thread.start()
+            for thread in publishers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in publishers)
+            bus.publish(JobStateChanged(state="completed", terminal=True,
+                                        job_id=1))
+            assert mux.pump_all_done(30.0), "streams never finished"
+            streams = [_parse_stream(buf)[1] for buf in mux.buffers]
+        finally:
+            sys.setswitchinterval(previous)
+            mux.close()
+            edge.stop()
+            if log is not None:
+                log.close()
+        missing = 0
+        for frames in streams:
+            seqs = [frame["seq"] for frame in frames]
+            assert seqs == sorted(set(seqs)), "out of order or repeated"
+            _assert_one_terminal_last(frames)
+            missing += 1601 - len(seqs)
+            if logged:
+                assert seqs == list(range(1601))
+        assert missing == bus.dropped(1)
 
 
 # --------------------------------------------------------------------------- #

@@ -351,7 +351,11 @@ class TestServerMode:
         code, output = _run_cli("show", "0", "--server", live_server.url)
         assert code == 0
         assert "state:      completed" in output
-        assert "backpressure" in output
+        # The drop counters are printed by `metrics`, not by `show`.
+        code, output = _run_cli("metrics", "--server", live_server.url)
+        assert code == 0
+        assert "anttune_event_queue_dropped_total" in output
+        assert "anttune_transport_dropped_total" in output
         # Cancelling a finished job reports it and exits 1.
         code, output = _run_cli("cancel", "0", "--server", live_server.url)
         assert code == 1

@@ -357,10 +357,14 @@ class TestCheckpointResume:
         from repro.exceptions import TrialError
         from repro.utils.serialization import save_json
 
-        path = tmp_path / "bad.json"
-        save_json(path, {"version": 99, "config": {}, "budget_used": 0, "trials": []})
-        with pytest.raises(TrialError):
-            _study(space).restore_checkpoint(str(path))
+        study = _study(space)
+        # 99: from the future; 1: the old format without algorithm/RNG state.
+        for version in (99, 1):
+            path = tmp_path / f"v{version}.json"
+            save_json(path, {"version": version, "algorithm": study.algorithm.name,
+                             "config": {}, "budget_used": 0, "trials": []})
+            with pytest.raises(TrialError, match="unsupported study checkpoint version"):
+                _study(space).restore_checkpoint(str(path))
 
     def test_sequential_checkpointing_also_works(self, space, tmp_path):
         ckpt = str(tmp_path / "seq.json")
@@ -428,30 +432,6 @@ class TestCheckpointV2:
         resumed.optimize(lambda t: t.params["x"])
         # The grid walk continues where it stopped instead of restarting.
         assert [t.params for t in resumed.trials] == [t.params for t in full.trials]
-
-    def test_v1_checkpoints_are_accepted_and_migrated(self, space, tmp_path):
-        from dataclasses import asdict
-
-        from repro.utils.serialization import save_json
-
-        study = _study(space, seed=6, n_trials=2)
-        study.optimize(lambda t: t.params["x"])
-        v1_payload = {
-            "version": 1,
-            "algorithm": study.algorithm.name,
-            "config": asdict(StudyConfig(n_trials=4)),
-            "budget_used": 2,
-            "trials": [t.as_record() for t in study.trials],
-        }
-        path = tmp_path / "v1.json"
-        save_json(path, v1_payload)
-
-        resumed = _study(space, seed=6, n_trials=4)
-        resumed.restore_checkpoint(str(path))
-        resumed.optimize(lambda t: t.params["x"])
-        # History kept, only the remaining budget ran; no state to restore.
-        assert len(resumed.trials) == 4
-        assert all(t.state == TrialState.COMPLETED for t in resumed.trials)
 
     def test_checkpoint_version_is_2(self, space, tmp_path):
         from repro.automl.study import CHECKPOINT_VERSION

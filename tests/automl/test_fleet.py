@@ -579,7 +579,7 @@ class TestRouterRelay:
                          5)
         opened = []
 
-        def canned_open(job_id, last_seq, max_queue):
+        def canned_open(job_id, last_seq):
             opened.append(last_seq)
             return _CannedStream(connections[len(opened) - 1])
 

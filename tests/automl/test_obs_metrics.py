@@ -459,14 +459,16 @@ class TestLiveExposition:
         assert events
         assert {event.trace_id for event in events} == {"trace-42"}
 
-    def test_server_status_metrics_section_and_telemetry_alias(self, client,
-                                                               helper_module):
+    def test_server_status_drop_counters_in_metrics(
+            self, client, helper_module):
         self._run_job(client, helper_module)
         status = client.server_status()
         assert "anttune_trials_total" in status["metrics"]
-        # The deprecated alias keeps its flat shape for old consumers.
-        assert set(status["telemetry"]) == {"transport_dropped",
-                                            "event_queue_dropped"}
+        # The drop counters live in the metrics section; the flat
+        # ``telemetry`` alias is gone.
+        assert {"anttune_transport_dropped_total",
+                "anttune_event_queue_dropped_total"} <= set(status["metrics"])
+        assert "telemetry" not in status
 
     def test_http_metrics_use_route_templates_not_raw_paths(self, client,
                                                             remote,

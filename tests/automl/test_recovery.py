@@ -299,10 +299,10 @@ class TestRecoverStateMachine:
             full = [e.seq for e in first.event_log.read(job_id)]
         with AntTuneServer(num_workers=2, backend="thread",
                            storage=db) as second:
-            backfill, subscription = second.open_event_stream(job_id,
-                                                              last_seq=2)
-            assert subscription is None  # log-only job: disk is complete
-            events = list(backfill)
+            window = second.open_event_stream(job_id)
+            assert not window.live  # log-only job: disk is complete
+            assert window.recent(2) is None  # nothing in memory: read the log
+            events = list(window.logged(2))
             assert [e.seq for e in events] == [s for s in full if s > 2]
             assert events[-1].terminal
             with pytest.raises(TrialError, match="unknown job"):
