@@ -268,7 +268,7 @@ class EventLog:
         """Append one bus-stamped event to its job's active segment.
 
         Called synchronously from the bus's publish path (a callback
-        subscription), so by the time any queue consumer sees an event it is
+        subscription), so by the time any stream reader sees an event it is
         already flushed to the OS — a killed process loses nothing it
         delivered.  Rotation and compaction happen inline when the active
         segment fills.  A job's terminal event also closes its segment (after
@@ -386,7 +386,10 @@ class EventLog:
             after_seq: resume point; -1 reads from the log's oldest record.
 
         Yields:
-            Reconstructed typed events in ascending ``seq`` order.
+            Reconstructed typed events in ascending ``seq`` order, each
+            carrying its logged line as its cached wire bytes, so a stream
+            replaying the log ships the bytes on disk without serialising
+            them again (:func:`~repro.automl.events.event_wire_bytes`).
         """
         segments = self._segments(job_id)
         for index, (first_seq, path) in enumerate(segments):
@@ -406,6 +409,9 @@ class EventLog:
                 except (ValueError, UnicodeDecodeError):
                     continue  # torn tail from a crash mid-write
                 if event.seq > after_seq:
+                    # The line is the event's wire bytes: append() wrote
+                    # exactly event_wire_bytes(event).
+                    object.__setattr__(event, "_wire_bytes", raw + b"\n")
                     yield event
 
     def last_seq(self, job_id: int) -> int:
@@ -428,13 +434,6 @@ class EventLog:
                 except (ValueError, UnicodeDecodeError):
                     continue  # torn tail
         return None
-
-    def first_seq(self, job_id: int) -> int:
-        """The lowest seq still on disk (-1 if none) — compaction's floor."""
-        for first_seq, path in self._segments(job_id):
-            for event in self.read(job_id, after_seq=first_seq - 1):
-                return event.seq
-        return -1
 
     # ------------------------------------------------------------------ #
     # Compaction and removal

@@ -5,7 +5,7 @@ for reports, a kill map for stops, poll-loop mirroring into storage).  This
 module replaces all of that fan-out with **one ordered stream per job**: every
 layer publishes typed events onto an :class:`EventBus`, and every consumer —
 client subscriptions (:meth:`repro.automl.server.AntTuneServer.subscribe`),
-storage persistence, tests — reads the same stream.
+HTTP event streams, the durable event log, tests — reads the same stream.
 
 Event types
 -----------
@@ -18,7 +18,7 @@ Event types
 * :class:`TrialKilled` — a kill signal (deadline / prune / cancel / preempt)
   was delivered to an in-flight trial.
 * :class:`TrialFinished` — the trial reached a terminal state; carries the
-  full JSON-serialisable record, which is what storage persists.
+  full JSON-serialisable trial record.
 * :class:`JobStateChanged` — the owning job moved through its lifecycle;
   ``terminal=True`` marks the last event a subscription will ever see.
 
@@ -37,18 +37,19 @@ Delivery semantics
 invoked synchronously on the publisher's thread (keep it fast, never call
 back into the bus from inside it — publishing from a callback deadlocks the
 job's delivery turnstile — and note that its exceptions are swallowed and
-counted in :attr:`Subscription.callback_errors`).  Without a callback the subscription is an iterator
-backed by a **bounded** queue: when a slow consumer falls more than
-``max_queue`` events behind, the oldest queued events are dropped (counted in
-:attr:`Subscription.dropped`) — delivery stays ordered (a subsequence of the
-stream) and the terminal event is never dropped, so iteration always
-terminates once the job does.
+counted in :attr:`Subscription.callback_errors`).  Without a callback it
+returns an :class:`EventCursor`: an iterator that keeps only the last seq it
+returned and reads the events after it from the job's :class:`EventWindow`,
+the same reader every HTTP event stream runs.
 
 The bus keeps a bounded per-job **replay history**: a consumer subscribing
-after a job already made progress receives the earlier events first (oldest
-shed beyond ``history_limit``), then live ones — so ``submit()`` followed by
-``subscribe()`` observes the whole stream, and subscribing to an
-already-finished job replays it up to its terminal event.
+after a job already made progress receives the earlier events first, then
+live ones — so ``submit()`` followed by ``subscribe()`` observes the whole
+stream, and subscribing to an already-finished job replays it up to its
+terminal event.  A window backed by the durable event log reads what the
+history no longer holds from the log; without one, a reader more than
+``history_limit`` events behind skips to the history, and the skipped events
+count in :meth:`EventBus.dropped`.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import queue as queue_module
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import (Callable, Deque, Dict, Iterator, List, Optional, Tuple,
-                    Union)
+from time import monotonic, perf_counter
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from repro.automl import metrics as _metrics
 
@@ -75,6 +75,8 @@ __all__ = [
     "JobStateChanged",
     "Event",
     "EventBus",
+    "EventCursor",
+    "EventWindow",
     "Subscription",
     "EVENT_TYPES",
     "event_to_wire",
@@ -151,8 +153,7 @@ class TrialFinished(TrialEvent):
             (as its string value, e.g. ``"completed"``).
         value: the objective value (None unless completed).
         record: the full JSON-serialisable trial snapshot
-            (:meth:`~repro.automl.trial.Trial.as_record`) — what storage
-            persists off the stream.
+            (:meth:`~repro.automl.trial.Trial.as_record`).
     """
 
     trial_id: int
@@ -203,9 +204,9 @@ _PUBLISH_CHILDREN = {name: _PUBLISH_SECONDS.labels(type=name)
                      for name in EVENT_TYPES}
 _QUEUE_DROPPED = _metrics.REGISTRY.counter(
     "anttune_event_queue_dropped_total",
-    "Events shed by lagging subscriber queues, or skipped by an HTTP event "
-    "stream on a server without an event log, by job. Cumulative for the "
-    "process lifetime: never reset by consumer churn or bus re-priming.",
+    "Events a stream reader (HTTP or in-process) skipped because no event "
+    "log held them, by job. Cumulative for the process lifetime: never reset "
+    "by consumer churn or bus re-priming.",
     labels=("job",))
 
 
@@ -359,115 +360,32 @@ def _canonical_wire(payload: object) -> Dict[str, object]:
 
 
 class Subscription:
-    """One consumer of a job's event stream (iterator or callback form).
+    """One callback consumer of a job's event stream.
 
-    Iterator form: iterate (or call :meth:`get`) to receive events in publish
-    order; iteration ends after the terminal :class:`JobStateChanged`.  The
-    backing queue is bounded — see :attr:`dropped`.
-
-    Callback form (``callback=`` passed to :meth:`EventBus.subscribe`): the
-    callable runs synchronously on the publisher's thread and the queue/
-    iterator surface stays empty.
+    Made by :meth:`EventBus.subscribe` with ``callback=``: the callable runs
+    synchronously on the publisher's thread, once per event in seq order.
     """
 
-    _CLOSED = object()  # sentinel: no further events, stream did not terminate
-
-    def __init__(self, bus: "EventBus", job_id: Optional[int], max_queue: int,
-                 callback: Optional[Callable[[Event], None]]) -> None:
-        if max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
+    def __init__(self, bus: "EventBus", job_id: Optional[int],
+                 callback: Callable[[Event], None]) -> None:
         self._bus = bus
         self.job_id = job_id
         self._callback = callback
-        self._queue: "queue_module.Queue[object]" = queue_module.Queue()
-        self._max_queue = max_queue
-        self._lock = threading.Lock()
-        self._finished = False   # terminal event delivered (or close() called)
-        self._exhausted = False  # iterator already yielded the last event
-        #: Events dropped because the consumer fell > max_queue behind.
-        self.dropped = 0
         #: Exceptions swallowed from the callback (observers must never be
         #: able to fail the publisher — e.g. mark an observed job FAILED or
         #: strand a wait() by breaking the terminal publish).
         self.callback_errors = 0
 
-    # -- bus side ------------------------------------------------------- #
-    def _deliver(self, event: Event, replay: bool = False) -> None:
-        terminal = isinstance(event, JobStateChanged) and event.terminal
-        if self._callback is not None:
-            try:
-                self._callback(event)
-            except Exception:  # noqa: BLE001 - a broken observer must not
-                # propagate into the publishing scheduler/dispatcher thread.
-                self.callback_errors += 1
-            finally:
-                if terminal:
-                    self._finished = True
-            return
-        with self._lock:
-            if self._finished:
-                return
-            # Bounded for *live* delivery: shed the oldest queued event so a
-            # lagging consumer stays an ordered subsequence and the terminal
-            # event always fits.  Replay is exempt — it lands synchronously
-            # inside subscribe(), before the consumer could possibly have
-            # read anything, and is already bounded by the bus history limit.
-            if not replay:
-                while self._queue.qsize() >= self._max_queue:
-                    try:
-                        self._queue.get_nowait()
-                        self.dropped += 1
-                        self._bus._note_drop(self.job_id)
-                    except queue_module.Empty:  # pragma: no cover - raced
-                        break                   # consumer
-            self._queue.put(event)
-            if terminal:
-                self._finished = True
-
-    # -- consumer side -------------------------------------------------- #
-    def get(self, timeout: Optional[float] = None) -> Optional[Event]:
-        """Next event in publish order; None once the stream ended.
-
-        Args:
-            timeout: seconds to wait for the next event.
-
-        Returns:
-            The next event, or None when the stream has ended (terminal
-            event consumed, or :meth:`close` was called).
-
-        Raises:
-            TimeoutError: no event arrived within ``timeout``.
-        """
-        if self._exhausted:
-            return None
+    def _deliver(self, event: Event) -> None:
         try:
-            item = self._queue.get(timeout=timeout)
-        except queue_module.Empty:
-            raise TimeoutError(
-                f"no event within {timeout}s on job {self.job_id!r}") from None
-        if item is self._CLOSED:
-            self._exhausted = True
-            return None
-        if isinstance(item, JobStateChanged) and item.terminal:
-            self._exhausted = True
-        return item  # type: ignore[return-value]
-
-    def __iter__(self) -> Iterator[Event]:
-        while True:
-            event = self.get()
-            if event is None:
-                return
-            yield event
-            if self._exhausted:
-                return
+            self._callback(event)
+        except Exception:  # noqa: BLE001 - a broken observer must not
+            # propagate into the publishing scheduler/dispatcher thread.
+            self.callback_errors += 1
 
     def close(self) -> None:
-        """Detach from the bus; a blocked :meth:`get` wakes and returns None."""
+        """Detach from the bus: the callback sees no later event."""
         self._bus._unsubscribe(self)
-        with self._lock:
-            if not self._finished:
-                self._finished = True
-                self._queue.put(self._CLOSED)
 
 
 class _DeliveryTurnstile:
@@ -475,7 +393,7 @@ class _DeliveryTurnstile:
 
     Stamping happens under the (global) bus lock; delivery happens outside
     it, serialised per job by this turnstile, so one job's slow consumer
-    (e.g. a storage commit) never blocks other jobs' publishers.
+    (e.g. an event-log append) never blocks other jobs' publishers.
     """
 
     def __init__(self, first_seq: int) -> None:
@@ -522,11 +440,10 @@ class EventBus:
         self._history: Dict[Optional[int], Deque[Event]] = {}
         self._turnstiles: Dict[Optional[int], _DeliveryTurnstile] = {}
         self._finished_jobs: List[Optional[int]] = []  # terminal order
-        # Events shed by lagging subscriber queues, tallied per job across
-        # every subscription (including closed ones) so backpressure stays
-        # observable through server.status() after the consumer went away.
+        # Events stream readers skipped, tallied per job across every reader
+        # (including closed ones) so a skip stays observable after the
+        # reader went away.
         self._dropped: Dict[Optional[int], int] = {}
-        self._dropped_lock = threading.Lock()
 
     def publish(self, event: Event) -> Event:
         """Stamp ``event`` with its per-job sequence number and deliver it.
@@ -626,31 +543,31 @@ class EventBus:
             self._turnstiles[job_id] = _DeliveryTurnstile(next_seq)
 
     def subscribe(self, job_id: Optional[int],
-                  callback: Optional[Callable[[Event], None]] = None,
-                  max_queue: int = 1024) -> Subscription:
+                  callback: Optional[Callable[[Event], None]] = None
+                  ) -> Union[Subscription, "EventCursor"]:
         """Attach a consumer to one job's event stream.
 
-        The job's (bounded) history replays into the subscription first, so a
-        consumer attaching after the job made progress still observes the
-        stream from its start; for an already-terminated job the replay ends
-        with the terminal event and iteration stops there.
+        The job's (bounded) history replays first, so a consumer attaching
+        after the job made progress still observes the stream from its
+        start; for an already-terminated job the replay ends with the
+        terminal event and iteration stops there.
 
         Args:
             job_id: the stream to follow.
-            callback: optional callable invoked synchronously per event
-                (instead of queueing for iteration).  Must be fast and must
-                not call back into the bus; its exceptions are swallowed
-                (counted in :attr:`Subscription.callback_errors`).
-            max_queue: bound on the iterator queue for *live* delivery; the
-                oldest events are shed when the consumer falls further
-                behind.  The initial replay is exempt — it arrives in full
-                (bounded by the bus ``history_limit``), so a late subscriber
-                never loses history to its own queue bound.
+            callback: optional callable invoked synchronously per event.
+                Must be fast and must not call back into the bus; its
+                exceptions are swallowed (counted in
+                :attr:`Subscription.callback_errors`).
 
         Returns:
-            A :class:`Subscription`.
+            A :class:`Subscription` with ``callback``; without one, an
+            :class:`EventCursor` over the bus history (no event log: a
+            reader more than ``history_limit`` events behind skips, and the
+            skipped events count in :meth:`dropped`).
         """
-        sub = Subscription(self, job_id, max_queue, callback)
+        if callback is None:
+            return EventCursor(self, job_id)
+        sub = Subscription(self, job_id, callback)
         with self._lock:
             turnstile = self._turnstiles.get(job_id)
             if turnstile is None:
@@ -680,7 +597,7 @@ class EventBus:
                         # in flight and will be delivered live): register.
                         self._subs.setdefault(job_id, []).append(sub)
             for event in replay:
-                sub._deliver(event, replay=True)
+                sub._deliver(event)
         return sub
 
     def history(self, job_id: Optional[int], after_seq: int,
@@ -733,17 +650,12 @@ class EventBus:
                 if not subs:
                     self._subs.pop(sub.job_id, None)
 
-    def _note_drop(self, job_id: Optional[int]) -> None:
-        # Called from Subscription._deliver under the subscription's own
-        # lock; a dedicated lock avoids any interplay with the bus lock.
-        self.note_drops(job_id, 1)
-
     def note_drops(self, job_id: Optional[int], count: int) -> None:
-        """Fold externally shed events into this job's drop accounting.
+        """Fold events a reader skipped into this job's drop accounting.
 
-        A reader outside the bus that skips events — an HTTP event stream
-        further behind than the history on a server without an event log —
-        counts them here, so every shed event lands in one place: the
+        A stream reader that skips events — an :class:`EventWindow` further
+        behind than the history with no event log behind it — counts them
+        here, so every skipped event lands in one place: the
         :meth:`dropped` tallies and the
         ``anttune_event_queue_dropped_total{job=...}`` metric.
 
@@ -753,35 +665,234 @@ class EventBus:
         """
         if count < 1:
             return
-        with self._dropped_lock:
+        with self._lock:
             self._dropped[job_id] = self._dropped.get(job_id, 0) + count
         _QUEUE_DROPPED.labels(job="none" if job_id is None else job_id).inc(
             count)
 
     def dropped(self, job_id: Optional[int]) -> int:
-        """Events shed by ``job_id``'s subscriber queues (all subscriptions).
+        """Events ``job_id``'s stream readers skipped (all readers).
 
-        Counts live and already-closed subscriptions alike (and the skips
-        :meth:`note_drops` folds in), so a burst that outran a consumer
-        stays visible after the fact.  The
+        Counts live and already-closed readers alike (every skip
+        :meth:`note_drops` folds in), so a burst that outran a reader stays
+        visible after the fact.  The
         tally is **cumulative for the bus's lifetime**: neither subscription
         churn nor :meth:`prime` (the recovery path re-priming a job's seq
         numbering) ever resets it.  The same counts are exported as the
         ``anttune_event_queue_dropped_total{job=...}`` metric.
         """
-        with self._dropped_lock:
+        with self._lock:
             return self._dropped.get(job_id, 0)
 
     def dropped_total(self) -> int:
-        """Events shed by subscriber queues across every job on this bus.
+        """Events stream readers skipped across every job on this bus.
 
         Like :meth:`dropped`, cumulative and never reset while the bus
         lives; monotonically equal to the sum of the per-job counts.
         """
-        with self._dropped_lock:
+        with self._lock:
             return sum(self._dropped.values())
 
     def terminated(self, job_id: Optional[int]) -> bool:
         """Whether ``job_id``'s stream has seen its terminal event."""
         with self._lock:
             return job_id in self._terminal
+
+
+class EventWindow:
+    """One stream reader's view of a job's events, read by seq cursor.
+
+    Every event is kept once, indexed by seq: in the bus history (the newest
+    ``history_limit`` events of each job this process knows) and, with
+    file-backed storage, in the durable event log.  A window reads the bus
+    history no further than :attr:`seen`, the last seq its own subscription
+    was delivered; the log's callback subscription is delivered each event
+    first, so a reader never gets ahead of the log.  A cursor older than the
+    history reads the log instead (:meth:`logged`); without a log the reader
+    jumps to the history and the events it skipped are counted as drops
+    (:meth:`skip`).  A job known only to the log (finished before a
+    restart) has no subscription: its whole stream is the log.
+
+    :meth:`read` and :meth:`backlog` are the cursor reader every HTTP event
+    stream and every :class:`EventCursor` runs.  Built by
+    :meth:`~repro.automl.server.AntTuneServer.open_event_stream` and by
+    :class:`EventCursor`; :meth:`close` detaches the subscription.
+    """
+
+    def __init__(self, bus: EventBus, job_id: Optional[int], log,
+                 live: bool, wake: Optional[Callable[[], None]]) -> None:
+        self.job_id = job_id
+        #: The durable event log, or None (no file-backed storage).
+        self.log = log
+        #: The last seq this window's subscription was delivered.
+        self.seen = -1
+        #: The terminal event's seq, once delivered.
+        self.final: Optional[int] = None
+        self._bus = bus
+        self._wake = wake
+        self._subscription = (bus.subscribe(job_id, callback=self._observe)
+                              if live else None)
+
+    @property
+    def live(self) -> bool:
+        """Whether the job is on this process's bus (not known only to the log)."""
+        return self._subscription is not None
+
+    def _observe(self, event: Event) -> None:
+        self.seen = event.seq
+        if isinstance(event, JobStateChanged) and event.terminal:
+            self.final = event.seq
+        if self._wake is not None:
+            self._wake()
+
+    def recent(self, after_seq: int) -> Optional[List[Event]]:
+        """The history's events after ``after_seq``, up to :attr:`seen`.
+
+        Returns None when the history no longer holds the event after the
+        cursor (or the job is known only to the log).
+        """
+        if self._subscription is None:
+            return None
+        oldest, events = self._bus.history(self.job_id, after_seq, self.seen)
+        return None if oldest > after_seq + 1 else events
+
+    def logged(self, after_seq: int) -> Iterator[Event]:
+        """The durable log's events after ``after_seq``."""
+        return self.log.read(self.job_id, after_seq=after_seq)
+
+    def skip(self, after_seq: int) -> int:
+        """Jump the cursor to just before the history, counting the skip.
+
+        Returns the new cursor.  The skipped events count in
+        ``anttune_event_queue_dropped_total`` for the job.
+        """
+        oldest, _ = self._bus.history(self.job_id, after_seq, after_seq)
+        self._bus.note_drops(self.job_id, oldest - after_seq - 1)
+        return max(after_seq, oldest - 1)
+
+    def read(self, after_seq: int, budget: int,
+             frame: Optional[Callable[[Event], bytes]] = None):
+        """The history's events after the cursor; None to read the log.
+
+        Returns ``(items, cursor, end)``: events in seq order (or their
+        ``frame`` bytes, ``budget`` then counting bytes) until ``budget``,
+        the last seq taken, and whether the stream ended.  None: the log
+        holds what the history lost, so run :meth:`backlog` instead.
+        """
+        events = self.recent(after_seq)
+        if events is None:
+            if self.log is not None:
+                return None
+            after_seq = self.skip(after_seq)
+            events = self.recent(after_seq) or []
+        return self._take(events, after_seq, budget, frame)
+
+    def backlog(self, after_seq: int, budget: int,
+                frame: Optional[Callable[[Event], bytes]] = None):
+        """One chunk of the durable log after the cursor, as :meth:`read`.
+
+        A chunk that leaves the cursor where it was means the next event is
+        not logged yet: the window's next delivery wakes the reader.
+        """
+        # Read before the log: every seq up to it is in the log by now.
+        seen = self.seen
+        items, cursor, end = self._take(self.logged(after_seq), after_seq,
+                                        budget, frame)
+        if not items and not end:
+            if not self.live:
+                end = True  # a log-only job: the log was the whole story
+            elif cursor < seen:
+                cursor = self.skip(cursor)  # lost from the log as well
+        return items, cursor, end
+
+    def _take(self, events: Iterable[Event], cursor: int, budget: int,
+              frame: Optional[Callable[[Event], bytes]]):
+        items: list = []
+        used = 0
+        end = False
+        for event in events:
+            if event.seq > cursor + 1:
+                # A hole in the log (compacted or torn): counted, like a skip.
+                self._bus.note_drops(self.job_id, event.seq - cursor - 1)
+            item = event if frame is None else frame(event)
+            items.append(item)
+            used += 1 if frame is None else len(item)
+            cursor = event.seq
+            if isinstance(event, JobStateChanged) and event.terminal:
+                end = True
+                break
+            if used >= budget:
+                break
+        if self.final is not None and cursor >= self.final:
+            end = True  # the reader already has the terminal event
+        return items, cursor, end
+
+    def close(self) -> None:
+        """Detach from the bus (idempotent)."""
+        if self._subscription is not None:
+            self._subscription.close()
+
+
+class EventCursor:
+    """An iterator over one job's events: a seq cursor over its window.
+
+    What ``subscribe()`` without a callback returns.  It reads the job's
+    :class:`EventWindow` as an HTTP event stream does — the bus history,
+    then the durable log when the window has one — so a reader never loses
+    an event a log holds; without a log, what it skips counts in
+    :meth:`EventBus.dropped`.  Iteration ends after the terminal
+    :class:`JobStateChanged`; :meth:`close` may come from any thread.
+    """
+
+    #: Events one window read takes at most: bounds a log catch-up's memory.
+    CHUNK = 512
+
+    def __init__(self, bus: EventBus, job_id: Optional[int], log=None) -> None:
+        self.job_id = job_id
+        self._cursor = -1
+        self._pending: Deque[Event] = deque()
+        self._ended = self._closed = False
+        self._ready = threading.Event()
+        self._window = EventWindow(bus, job_id, log, live=True,
+                                   wake=self._ready.set)
+
+    def get(self, timeout: Optional[float] = None) -> Optional[Event]:
+        """Next event in publish order; None once the stream ended.
+
+        Args:
+            timeout: seconds to wait for the next event.
+
+        Returns:
+            The next event, or None when the stream has ended (terminal
+            event consumed, or :meth:`close` was called).
+
+        Raises:
+            TimeoutError: no event arrived within ``timeout``.
+        """
+        deadline = None if timeout is None else monotonic() + timeout
+        while not self._closed:
+            if self._pending:
+                return self._pending.popleft()
+            if self._ended:
+                break
+            self._ready.clear()  # a delivery after this sets it again
+            got = self._window.read(self._cursor, self.CHUNK)
+            if got is None:  # behind the history: read the log right here
+                got = self._window.backlog(self._cursor, self.CHUNK)
+            events, self._cursor, self._ended = got
+            self._pending.extend(events)
+            if not (events or self._ended or self._ready.wait(
+                    None if deadline is None
+                    else max(0.0, deadline - monotonic()))):
+                raise TimeoutError(
+                    f"no event within {timeout}s on job {self.job_id!r}")
+        return None
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.get, None)
+
+    def close(self) -> None:
+        """Detach from the bus; a blocked :meth:`get` wakes and returns None."""
+        self._closed = True
+        self._window.close()
+        self._ready.set()

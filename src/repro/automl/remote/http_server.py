@@ -76,10 +76,10 @@ for anything fancier.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import JobStateChanged, event_wire_bytes
+from repro.automl.events import EventWindow, event_wire_bytes
 from repro.automl.remote.api import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -94,7 +94,7 @@ from repro.automl.remote.edge import (
     _job_id_segment,
     json_reply,
 )
-from repro.automl.server import AntTuneServer, EventWindow
+from repro.automl.server import AntTuneServer
 from repro.exceptions import TrialError
 from repro.utils.rng import new_rng
 
@@ -397,9 +397,9 @@ class _TuneApp(_EndpointApp):
 class _TuneFeed:
     """A tune-server stream's frames: its :class:`EventWindow` as wire lines.
 
-    Each frame is the event's shared wire bytes
-    (:func:`~repro.automl.events.event_wire_bytes`): serialised once, reused
-    by every stream and the event log.
+    The window reads the cursor; each frame is the event's shared wire
+    bytes (:func:`~repro.automl.events.event_wire_bytes`): serialised once,
+    reused by every stream and the event log.
     """
 
     def __init__(self, window: EventWindow) -> None:
@@ -407,51 +407,11 @@ class _TuneFeed:
 
     def read(self, after_seq: int, max_bytes: int):
         """The history's frames after the cursor; None to read the log."""
-        window = self._window
-        events = window.recent(after_seq)
-        if events is None:
-            if window.log is not None:
-                return None
-            after_seq = window.skip(after_seq)
-            events = window.recent(after_seq) or []
-        return self._frames(events, after_seq, max_bytes)
+        return self._window.read(after_seq, max_bytes, event_wire_bytes)
 
     def backlog(self, after_seq: int, max_bytes: int):
         """One chunk of the durable log after the cursor."""
-        window = self._window
-        # Read before the log: every seq up to it is in the log by now.
-        seen = window.seen
-        frames, cursor, end = self._frames(window.logged(after_seq),
-                                           after_seq, max_bytes)
-        if not frames and not end:
-            if not window.live:
-                end = True  # a log-only job: the log was the whole story
-            elif cursor < seen:
-                cursor = window.skip(cursor)  # lost from the log as well
-            # else the next event is not logged yet: its delivery wakes us
-        return frames, cursor, end
-
-    def _frames(self, events, cursor: int, max_bytes: int):
-        frames: List[bytes] = []
-        size = 0
-        end = False
-        for event in events:
-            if event.seq > cursor + 1:
-                # A hole in the log (compacted or torn): counted, like a skip.
-                self._window.dropped(event.seq - cursor - 1)
-            data = event_wire_bytes(event)
-            frames.append(data)
-            size += len(data)
-            cursor = event.seq
-            if isinstance(event, JobStateChanged) and event.terminal:
-                end = True
-                break
-            if size >= max_bytes:
-                break
-        final = self._window.final
-        if final is not None and cursor >= final:
-            end = True  # the client already has the terminal event
-        return frames, cursor, end
+        return self._window.backlog(after_seq, max_bytes, event_wire_bytes)
 
 
 class _HTTPFront:

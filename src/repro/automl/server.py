@@ -25,7 +25,8 @@ service:
   published as typed events (:mod:`repro.automl.events`) on one ordered bus,
   and :meth:`subscribe` follows it — iterator or callback form — ending with
   a terminal ``JobStateChanged`` on completion, failure or cancellation.
-  Storage persists trial history off the same stream.
+  With file-backed storage the stream is also logged durably, and the
+  iterator reads the log for whatever the bus history no longer holds.
 * ``submit(..., preempt=True)`` claims the new job's fair share immediately:
   co-tenants' youngest running trials beyond their new allowance are killed
   with the ``preempted`` reason and requeued by their own schedulers (no
@@ -33,8 +34,9 @@ service:
   as soon as the victims reach their next report, even when the pool is
   saturated.
 * With a :class:`~repro.automl.storage.StudyStorage` attached, every job's
-  study is checkpointed into SQLite as it runs, so a restarted server can
-  list stored studies and :meth:`resume` them with only the remaining
+  study is checkpointed into SQLite as it runs — the payload, the budget
+  and the trial rows it charges in one transaction — so a restarted server
+  can list stored studies and :meth:`resume` them with only the remaining
   trial budget.
 
 Each job gets its own RNG stream derived from its job id (unless the caller
@@ -53,7 +55,7 @@ import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -62,9 +64,10 @@ from repro.automl.algorithms.base import SearchAlgorithm, completed_trials
 from repro.automl.events import (
     Event,
     EventBus,
+    EventCursor,
+    EventWindow,
     JobStateChanged,
     Subscription,
-    TrialFinished,
 )
 from repro.automl.executors import EXECUTOR_BACKENDS, TrialExecutor, make_executor
 from repro.automl.pruners import Pruner
@@ -165,137 +168,6 @@ class TuneJob:
         return self.study.best_trial
 
 
-class _StorageWriter:
-    """One job's storage writer: a thread handed only the events it persists.
-
-    A callback subscription, registered before the job's first event so it
-    observes the whole stream, runs on the publisher's thread and passes
-    just ``TrialFinished`` (a trial row) and ``JobStateChanged`` (the study
-    status) — two of the dozen or so events a trial publishes — into a
-    bounded queue, so the thread wakes only for rows it writes.  The queue
-    is an unregistered iterator :class:`Subscription`: past ``max_queue``
-    it sheds the oldest event (counted in the bus's drop tallies; the job's
-    final ``save_study`` backfills its row), so the publisher never blocks,
-    and it never sheds the terminal event.  The thread exits after the
-    terminal event, or once :meth:`close` ends the stream without one.
-
-    Best effort by design: the dispatcher's checkpoint/finalise path still
-    saves the authoritative study payload, so a dying storage here must
-    neither crash the writer nor mark the job failed.
-    """
-
-    def __init__(self, bus: EventBus, job_id: int, storage: StudyStorage,
-                 study_name: str, max_queue: int = 8192) -> None:
-        self._storage = storage
-        self._name = study_name
-        self._rows = Subscription(bus, job_id, max_queue, callback=None)
-        self._feed = bus.subscribe(job_id, callback=self._offer)
-        self.thread = threading.Thread(target=self._drain, daemon=True,
-                                       name=f"anttune-storage-{job_id}")
-        self.thread.start()
-
-    def _offer(self, event: Event) -> None:
-        if isinstance(event, (TrialFinished, JobStateChanged)):
-            self._rows._deliver(event)
-
-    def close(self) -> None:
-        """Detach from the bus; the thread ends after what is queued."""
-        self._feed.close()
-        self._rows.close()
-
-    def _drain(self) -> None:
-        for event in self._rows:
-            self._write(event)
-
-    def _write(self, event: Event) -> None:
-        try:
-            if isinstance(event, TrialFinished):
-                self._storage.record_trial(self._name, event.record)
-            else:
-                self._storage.set_status(self._name, event.state)
-        except Exception:  # noqa: BLE001 - keep draining to terminal
-            pass
-
-
-class EventWindow:
-    """One stream reader's view of a job's events, read by seq cursor.
-
-    Every event is kept once, indexed by seq: in the bus history (the newest
-    ``history_limit`` events of each job this process knows) and, with
-    file-backed storage, in the durable event log.  A window reads the bus
-    history no further than :attr:`seen`, the last seq its own subscription
-    was delivered; the log's callback subscription is delivered each event
-    first, so a reader never gets ahead of the log.  A cursor older than the
-    history reads the log instead (:meth:`logged`); without a log the reader
-    jumps to the history and the events it skipped are counted as drops
-    (:meth:`skip`).  A job known only to the log (finished before a
-    restart) has no subscription: its whole stream is the log.
-
-    Built by :meth:`AntTuneServer.open_event_stream`; :meth:`close` detaches
-    the subscription.
-    """
-
-    def __init__(self, bus: EventBus, job_id: int, log,
-                 live: bool, wake: Optional[Callable[[], None]]) -> None:
-        self.job_id = job_id
-        #: The durable event log, or None (no file-backed storage).
-        self.log = log
-        #: The last seq this window's subscription was delivered.
-        self.seen = -1
-        #: The terminal event's seq, once delivered.
-        self.final: Optional[int] = None
-        self._bus = bus
-        self._wake = wake
-        self._subscription = (bus.subscribe(job_id, callback=self._observe)
-                              if live else None)
-
-    @property
-    def live(self) -> bool:
-        """Whether the job is on this process's bus (not known only to the log)."""
-        return self._subscription is not None
-
-    def _observe(self, event: Event) -> None:
-        self.seen = event.seq
-        if isinstance(event, JobStateChanged) and event.terminal:
-            self.final = event.seq
-        if self._wake is not None:
-            self._wake()
-
-    def recent(self, after_seq: int) -> Optional[List[Event]]:
-        """The history's events after ``after_seq``, up to :attr:`seen`.
-
-        Returns None when the history no longer holds the event after the
-        cursor (or the job is known only to the log).
-        """
-        if self._subscription is None:
-            return None
-        oldest, events = self._bus.history(self.job_id, after_seq, self.seen)
-        return None if oldest > after_seq + 1 else events
-
-    def logged(self, after_seq: int) -> Iterator[Event]:
-        """The durable log's events after ``after_seq``."""
-        return self.log.read(self.job_id, after_seq=after_seq)
-
-    def skip(self, after_seq: int) -> int:
-        """Jump the cursor to just before the history, counting the skip.
-
-        Returns the new cursor.  The skipped events count in
-        ``anttune_event_queue_dropped_total`` for the job.
-        """
-        oldest, _ = self._bus.history(self.job_id, after_seq, after_seq)
-        self.dropped(oldest - after_seq - 1)
-        return max(after_seq, oldest - 1)
-
-    def dropped(self, count: int) -> None:
-        """Count ``count`` events this reader will never receive."""
-        self._bus.note_drops(self.job_id, count)
-
-    def close(self) -> None:
-        """Detach from the bus (idempotent)."""
-        if self._subscription is not None:
-            self._subscription.close()
-
-
 class AntTuneServer:
     """Non-blocking multi-job tune service on a shared worker pool.
 
@@ -349,16 +221,12 @@ class AntTuneServer:
         self._recovered: Dict[int, Dict[str, object]] = {}
         self._governor = FairShareGovernor(num_workers)
         # One ordered event stream per job: every layer publishes onto this
-        # bus and subscribe()/storage persistence read from it.
+        # bus, and subscribe(), HTTP streams and the event log read it.
         self._bus = EventBus()
         # Default study names embed a per-server-process nonce so a restarted
         # server never silently upserts over studies a previous process
         # persisted under the same job ids.
         self._instance_id = uuid.uuid4().hex[:8]
-        # Background storage writers, one per persisted job; joined by
-        # shutdown() so no trial rows are lost at close.
-        self._writers: List[_StorageWriter] = []
-        self._writers_lock = threading.Lock()
         self._executor: Optional[TrialExecutor] = None
         self._dispatcher: Optional[ThreadPoolExecutor] = None
         self._closed = False
@@ -581,7 +449,7 @@ class AntTuneServer:
             # Durable mirror of the stream: meta first (so recovery can map
             # the job back to its study and code refs), then a synchronous
             # callback subscription — every event is on disk before any
-            # queue consumer sees it, so a killed process loses nothing it
+            # stream reader sees it, so a killed process loses nothing it
             # delivered.  Registered before the QUEUED publish below: the
             # log observes the stream from its very first event.
             log.open_job(job_id, job.study_name, refs=job.refs,
@@ -589,12 +457,9 @@ class AntTuneServer:
                          trace_id=job.trace_id)
             self._bus.subscribe(job_id, callback=log.append)
         if self.storage is not None:
-            # Trial history persists off the event stream: terminal trials
-            # land as rows shortly after their TrialFinished event publishes,
-            # between (and independent of) full payload checkpoints.  The
-            # writer is a background thread, so storage commits never run on
-            # (or block) the publisher's thread.
-            self._start_storage_writer(job)
+            # Trial rows land only with the checkpoint that charges them
+            # (save_study: payload, budget and changed rows in one
+            # transaction), so a crash never leaves a row the budget misses.
             try:
                 self.storage.save_study(job.study_name, study,
                                         status=JobState.QUEUED.value)
@@ -649,24 +514,9 @@ class AntTuneServer:
             state=job.state.value, error=job.error, terminal=terminal,
             job_id=job.job_id, trace_id=job.trace_id))
 
-    def _start_storage_writer(self, job: TuneJob) -> None:
-        """Persist this job's event stream from a :class:`_StorageWriter`.
-
-        Every lifecycle path publishes a terminal event, so the writer
-        thread never leaks; :meth:`shutdown` joins the writers, flushing any
-        still-queued rows before the server closes.
-        """
-        writer = _StorageWriter(self._bus, job.job_id, self.storage,
-                                job.study_name)
-        with self._writers_lock:
-            # Finished jobs' writers have exited: prune them here so a
-            # long-lived server doesn't accumulate one dead writer per job.
-            self._writers = [w for w in self._writers if w.thread.is_alive()]
-            self._writers.append(writer)
-
     def subscribe(self, job_id: int,
-                  callback: Optional[Callable[[Event], None]] = None,
-                  max_queue: int = 1024) -> Subscription:
+                  callback: Optional[Callable[[Event], None]] = None
+                  ) -> Union[Subscription, EventCursor]:
         """Follow one job's ordered event stream (push, not poll).
 
         Events arrive in publish order, sequenced per job: ``JobStateChanged``
@@ -675,22 +525,21 @@ class AntTuneServer:
         each trial's events in its own lifecycle order.  The stream always
         ends with a terminal ``JobStateChanged`` (``terminal=True``) —
         completion, failure or cancellation — after which iteration stops;
-        subscribing to an already-finished job yields that terminal event
-        immediately.
+        subscribing to an already-finished job replays its stream through
+        that terminal event.
 
         Args:
             job_id: the job to follow.
             callback: optional callable invoked synchronously per event
-                instead of queueing for iteration (keep it fast; never call
-                back into the server from it).
-            max_queue: bound on the iterator queue for live delivery; the
-                oldest undelivered events are shed (``Subscription.dropped``
-                counts them) when a consumer falls behind.  The initial
-                replay is delivered in full regardless (bounded by the bus
-                history limit).
+                instead of iteration (keep it fast; never call back into the
+                server from it).
 
         Returns:
-            A :class:`~repro.automl.events.Subscription`.
+            A :class:`~repro.automl.events.Subscription` with ``callback``;
+            without one, an :class:`~repro.automl.events.EventCursor` over
+            the job's window: the bus history, then the durable event log
+            when the server has one.  Only without a log can a reader skip
+            (counted in ``anttune_event_queue_dropped_total``).
 
         Raises:
             TrialError: unknown job id.
@@ -699,8 +548,9 @@ class AntTuneServer:
             known = job_id in self._jobs
         if not known and job_id not in self._recovered:
             raise TrialError(f"unknown job id {job_id}")
-        return self._bus.subscribe(job_id, callback=callback,
-                                   max_queue=max_queue)
+        if callback is not None:
+            return self._bus.subscribe(job_id, callback=callback)
+        return EventCursor(self._bus, job_id, self.event_log)
 
     def on_terminal(self, job_id: int,
                     callback: Callable[[], None]) -> Subscription:
@@ -731,11 +581,11 @@ class AntTuneServer:
         """A cursor reader's window onto one job's full event history.
 
         This is what the remote ``GET /v1/jobs/{id}/events?last_seq=``
-        serves from.  Unlike :meth:`subscribe` — whose replay is bounded by
-        the bus's in-memory history and empty in a freshly restarted
-        process — a window reads the bus history and, behind it, the
-        durable event log, so a reader resuming from any seq sees a
-        gapless stream across bus-history rotation *and* server restarts.
+        serves from, and what :meth:`subscribe`'s cursor reads.  A window
+        reads the bus history and, behind it, the durable event log, so a
+        reader resuming from any seq sees a gapless stream across
+        bus-history rotation *and* server restarts; unlike
+        :meth:`subscribe`, it also opens jobs known only to the log.
 
         Args:
             job_id: the job to stream.
@@ -975,6 +825,12 @@ class AntTuneServer:
         checkpoint_fn = None
         if self.storage is not None:
             storage, name, study = self.storage, job.study_name, job.study
+            try:
+                storage.set_status(name, JobState.RUNNING.value)
+            except Exception as exc:  # noqa: BLE001 - outside the try below:
+                # a failed write must never skip the terminal event.  The
+                # next checkpoint rewrites the status; report, don't fail.
+                job.error = f"storage status write failed: {exc}"
             checkpoint_fn = lambda: storage.save_study(name, study,
                                                        status=JobState.RUNNING.value)
         self._governor.register(job.job_id, job.priority)
@@ -1367,18 +1223,6 @@ class AntTuneServer:
             # close(), not shutdown(): a job still draining (wait=False) must
             # not silently rebuild the pool and leak its workers.
             executor.close()
-        # Flush-on-close: every finished job's terminal event has published
-        # by now (the dispatcher drained above), so its storage writer is
-        # finishing its last commits — join them so no trial rows are lost.
-        # Closing first ends a writer whose job is still running (wait=False)
-        # once it wrote what is queued; behind a terminal it is a no-op.  The
-        # timeout only bounds a wedged storage; writers are daemons.
-        with self._writers_lock:
-            writers, self._writers = self._writers, []
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            writer.thread.join(timeout=10.0 if wait else 0.25)
         with self._jobs_lock:
             running = any(not job._done.is_set()
                           for job in self._jobs.values())
@@ -1429,7 +1273,8 @@ class AntTuneClient:
         """Cancel a queued or running job (see :meth:`AntTuneServer.cancel`)."""
         return self.server.cancel(job_id)
 
-    def subscribe(self, job_id: int, **kwargs: object) -> Subscription:
+    def subscribe(self, job_id: int,
+                  **kwargs: object) -> Union[Subscription, EventCursor]:
         """Follow a job's event stream (see :meth:`AntTuneServer.subscribe`)."""
         return self.server.subscribe(job_id, **kwargs)
 

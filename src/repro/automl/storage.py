@@ -196,12 +196,12 @@ class StudyStorage:
              for record in records])
 
     def record_trial(self, name: str, record: Dict[str, object]) -> None:
-        """Upsert one trial row from its event-stream record.
+        """Upsert one trial row from a trial record.
 
-        This is the persistence path driven by the tune server's event bus: a
-        :class:`~repro.automl.events.TrialFinished` event carries the trial's
-        full record, which lands as a row the moment the event publishes —
-        between (and independent of) full study checkpoints.  The
+        A :class:`~repro.automl.events.TrialFinished` event carries such a
+        record.  The tune server does not call this: its rows land only with
+        the :meth:`save_study` checkpoint that charges their budget, so a
+        crash never leaves a row the stored budget misses.  The
         incremental-save cache is updated so a later :meth:`save_study` does
         not rewrite the row.
 

@@ -10,18 +10,22 @@ tolerance, and metadata persistence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.automl.eventlog import FSYNC_POLICIES, EventLog
 from repro.automl.events import (
+    EVENT_TYPES,
     EventBus,
     JobStateChanged,
     TrialFinished,
+    TrialKilled,
     TrialReport,
     TrialStarted,
     event_to_wire,
+    event_wire_bytes,
 )
 
 
@@ -96,6 +100,52 @@ class TestAppendRead:
         events = list(log.read(1))
         assert [json.loads(line) for line in lines] == \
             [event_to_wire(e) for e in events]
+
+    @pytest.mark.parametrize("trace_id", [None, "trace-7"])
+    def test_read_events_carry_the_bytes_on_disk(self, tmp_path, trace_id):
+        """A logged event's wire bytes are its line on disk, unserialised.
+
+        They equal the bytes of the event that was published, for every
+        event type, with and without a trace id.
+        """
+        originals = [
+            JobStateChanged(state="running"),
+            TrialStarted(trial_id=0, params={"x": 0.5, "depth": 3,
+                                             "kind": "lstm"}, worker="w-1"),
+            TrialReport(trial_id=0, step=0, value=float("nan")),
+            TrialKilled(trial_id=0, reason="pruned"),
+            TrialFinished(trial_id=0, state="pruned", value=None,
+                          record={"trial_id": 0, "state": "pruned",
+                                  "intermediate_values": [0.1 + 0.2,
+                                                          float("inf")]}),
+            JobStateChanged(state="failed", error="boom \u00e9",
+                            terminal=True),
+        ]
+        assert {type(e) for e in originals} == set(EVENT_TYPES.values())
+        log = make_log(tmp_path)
+        log.open_job(1, "s")
+        bus = EventBus()
+        bus.subscribe(1, callback=log.append)
+        published = [bus.publish(dataclasses.replace(e, job_id=1,
+                                                     trace_id=trace_id))
+                     for e in originals]
+        job_dir = tmp_path / "events" / "job-1"
+        on_disk = b"".join(segment.read_bytes() for segment
+                           in sorted(job_dir.glob("events-*.ndjson")))
+        logged = list(log.read(1))
+        assert [(type(e), e.seq) for e in logged] == \
+            [(type(e), e.seq) for e in published]  # NaN != NaN: no ==
+        # read() hands each event its line as the cached wire bytes, so a
+        # replay ships the bytes on disk without serialising them again.
+        assert [e.__dict__.get("_wire_bytes") for e in logged] == \
+            on_disk.splitlines(keepends=True)
+        assert [event_wire_bytes(e) for e in logged] == \
+            on_disk.splitlines(keepends=True)
+        # A copy carries no cached bytes: this serialises afresh.
+        assert [event_wire_bytes(e) for e in logged] == \
+            [event_wire_bytes(dataclasses.replace(e)) for e in published]
+        assert all(("trace_id" in json.loads(event_wire_bytes(e)))
+                   == (trace_id is not None) for e in logged)
 
     def test_survives_reopen(self, tmp_path):
         """A fresh EventLog over the same root reads everything back."""

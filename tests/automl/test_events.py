@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 
@@ -32,6 +33,7 @@ from repro.automl import (
 )
 from repro.automl.eventlog import EventLog
 from repro.automl.events import (
+    EventCursor,
     _canonical_wire,
     event_from_wire,
     event_to_wire,
@@ -135,17 +137,20 @@ class TestEventBus:
                                                         "JobStateChanged"]
 
     def test_bounded_queue_sheds_oldest_but_keeps_terminal(self):
-        bus = EventBus()
-        sub = bus.subscribe(1, max_queue=4)
+        # The bound is the bus history: without an event log, a reader
+        # attached at the start but read only after the job ended skips
+        # what the history shed, and counts every skipped seq.
+        bus = EventBus(history_limit=4)
+        sub = bus.subscribe(1)
         for step in range(10):
             bus.publish(TrialReport(trial_id=0, step=step, value=0.0, job_id=1))
         bus.publish(JobStateChanged(state="completed", terminal=True, job_id=1))
         events = list(sub)
-        assert sub.dropped > 0
         # Ordered subsequence, ending with the terminal event.
         seqs = [e.seq for e in events]
-        assert seqs == sorted(seqs)
+        assert seqs == [7, 8, 9, 10]
         assert isinstance(events[-1], JobStateChanged)
+        assert bus.dropped(1) == 7
 
     def test_callback_form_runs_synchronously(self):
         bus = EventBus()
@@ -220,6 +225,81 @@ class TestEventBus:
         expected = list(range(total + 1))  # reports + terminal, seq 0..N
         for seqs in received:
             assert seqs == expected
+
+
+class TestCursorUnderConcurrentPublishers:
+    @pytest.mark.parametrize("logged", [True, False])
+    def test_cursors_stay_exact_under_concurrent_publishers(self, tmp_path,
+                                                            logged):
+        """Eight threads publish into one job with a 2-event history and a
+        tiny switch interval while three cursors read on threads of their
+        own: every cursor stays in order and ends at the terminal event;
+        with a log none has a gap, without one its gaps are the drops."""
+        bus = EventBus(history_limit=2)
+        log = EventLog(str(tmp_path / "events")) if logged else None
+        if log is not None:
+            bus.subscribe(1, callback=log.append)
+        cursors = [EventCursor(bus, 1, log) for _ in range(3)]
+        streams = [[] for _ in cursors]
+        readers = [threading.Thread(target=lambda c=c, out=out: out.extend(
+                       event.seq for event in c), daemon=True)
+                   for c, out in zip(cursors, streams)]
+
+        def publish():
+            for step in range(200):
+                bus.publish(TrialReport(trial_id=0, step=step, job_id=1))
+
+        publishers = [threading.Thread(target=publish) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + publishers:
+                thread.start()
+            for thread in publishers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in publishers)
+            bus.publish(JobStateChanged(state="completed", terminal=True,
+                                        job_id=1))
+            for thread in readers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in readers)
+        finally:
+            sys.setswitchinterval(previous)
+            for cursor in cursors:
+                cursor.close()  # wakes a reader that never finished
+            if log is not None:
+                log.close()
+        missing = 0
+        for seqs in streams:
+            assert seqs == sorted(set(seqs)), "out of order or repeated"
+            assert seqs[-1] == 1600  # the terminal event, read last
+            missing += 1601 - len(seqs)
+            if logged:
+                assert seqs == list(range(1601))
+        assert missing == bus.dropped(1)
+
+    def test_a_delivery_during_a_read_wakes_the_wait(self):
+        """The race a stress run rarely hits, forced: the terminal event is
+        delivered after the cursor's window read came back empty and
+        before it waits, so a wake-up flag cleared late would sleep
+        through it."""
+        bus = EventBus()
+        cursor = bus.subscribe(1)
+        read = cursor._window.read
+
+        def racing_read(after_seq, budget, frame=None):
+            got = read(after_seq, budget, frame)
+            if not bus.terminated(1):
+                bus.publish(JobStateChanged(state="completed", terminal=True,
+                                            job_id=1))
+            return got
+
+        cursor._window.read = racing_read
+        try:
+            assert cursor.get(timeout=2.0).terminal
+            assert cursor.get(timeout=0.0) is None
+        finally:
+            cursor.close()
 
 
 # ----------------------------------------------------------------------- #
@@ -665,10 +745,9 @@ class TestStorageOffTheStream:
             payload = storage.load_payload("direct")
             assert payload["trials"] == [record]
             # Rows mirror the study history: a full save from a study that
-            # never contained this trial treats the streamed row as stale
-            # and removes it.  (In production TrialFinished events come from
-            # trials that ARE in the history, so saves keep them — covered
-            # by test_trial_rows_persist_from_events_between_checkpoints.)
+            # never contained this trial treats the row as stale and
+            # removes it.  (The server never calls record_trial: its rows
+            # land with each save_study checkpoint.)
             storage.save_study("direct", study, status="running")
             assert storage.load_payload("direct")["trials"] == []
 

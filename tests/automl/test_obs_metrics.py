@@ -311,12 +311,14 @@ class TestEventTraceIds:
 # --------------------------------------------------------------------------- #
 class TestDropCounters:
     def test_bus_drop_counters_survive_priming(self):
-        bus = EventBus()
-        subscription = bus.subscribe(5, max_queue=1)
+        # A reader behind a 1-event history (no event log) skips the rest.
+        bus = EventBus(history_limit=1)
+        subscription = bus.subscribe(5)
         for seq in range(4):
             bus.publish(TrialReport(trial_id=0, step=seq, value=0.0, job_id=5))
+        assert subscription.get(timeout=0).seq == 3
         dropped = bus.dropped(5)
-        assert dropped > 0
+        assert dropped == 3
         assert bus.dropped_total() == dropped
         # Priming (the crash-recovery path) touches seq numbering only —
         # and only for jobs with no events yet: the drop counters are
@@ -330,10 +332,16 @@ class TestDropCounters:
         from repro.automl import events as events_mod
         child = events_mod._QUEUE_DROPPED.labels(job="9")
         before = child.value
-        bus = EventBus()
-        subscription = bus.subscribe(9, max_queue=1)
+        bus = EventBus(history_limit=1)
+        subscription = bus.subscribe(9)
         for seq in range(3):
             bus.publish(TrialReport(trial_id=0, step=seq, value=0.0, job_id=9))
+        assert subscription.get(timeout=0).seq == 2
+        assert bus.dropped(9) == 2
+        assert child.value - before == bus.dropped(9)
+        # A reader outside the bus folds its skips in the same way.
+        bus.note_drops(9, 4)
+        assert bus.dropped(9) == 6
         assert child.value - before == bus.dropped(9)
         subscription.close()
 

@@ -340,6 +340,17 @@ def serve_args(db, port, recover=False):
     return args
 
 
+def spawn_serve(args, env, log_path):
+    """Start ``cli serve`` with its output in ``log_path``, not a pipe.
+
+    Nothing has to drain a file, and the child keeps its own descriptor:
+    this process closes its copy at once, so no pipe outlives the drill.
+    """
+    with open(log_path, "ab") as log:
+        return subprocess.Popen(args, env=env, stdout=log,
+                                stderr=subprocess.STDOUT)
+
+
 def wait_for_server(url, deadline=20.0):
     end = time.monotonic() + deadline
     while time.monotonic() < end:
@@ -373,8 +384,7 @@ def test_subscribe_replays_gapless_across_sigkill_restart(tmp_path):
     db = str(tmp_path / "svc.db")
     port = free_port()
     url = f"http://127.0.0.1:{port}"
-    proc = subprocess.Popen(serve_args(db, port), env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc = spawn_serve(serve_args(db, port), env, tmp_path / "first.log")
     restarted = None
     try:
         wait_for_server(url)
@@ -396,9 +406,8 @@ def test_subscribe_replays_gapless_across_sigkill_restart(tmp_path):
                 # Mid-stream, mid-job: hard-kill the serving process.
                 proc.send_signal(signal.SIGKILL)
                 proc.wait(timeout=10.0)
-                restarted = subprocess.Popen(
-                    serve_args(db, port, recover=True), env=env,
-                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+                restarted = spawn_serve(serve_args(db, port, recover=True),
+                                        env, tmp_path / "restarted.log")
                 killed = True
             if isinstance(event, JobStateChanged) and event.terminal:
                 assert event.state == "completed"
@@ -415,14 +424,13 @@ def test_subscribe_replays_gapless_across_sigkill_restart(tmp_path):
         # The recovered server answers for the job and logged the recovery.
         status = client.poll(job_id)
         assert status["state"] == "completed"
-        out = restarted.stdout
         restarted.send_signal(signal.SIGINT)
         try:
             restarted.wait(timeout=15.0)
         except subprocess.TimeoutExpired:
             restarted.kill()
             restarted.wait(timeout=10.0)
-        banner = out.read().decode("utf-8", "replace")
+        banner = (tmp_path / "restarted.log").read_text("utf-8", "replace")
         assert "recovery: resumed=1" in banner
         restarted = None
     finally:
@@ -454,8 +462,7 @@ def test_replay_from_last_seq_spans_restart_with_new_client(tmp_path):
     db = str(tmp_path / "svc.db")
     port = free_port()
     url = f"http://127.0.0.1:{port}"
-    proc = subprocess.Popen(serve_args(db, port), env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc = spawn_serve(serve_args(db, port), env, tmp_path / "first.log")
     second = None
     try:
         wait_for_server(url)
@@ -469,9 +476,8 @@ def test_replay_from_last_seq_spans_restart_with_new_client(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10.0)
 
-        second = subprocess.Popen(serve_args(db, port, recover=True), env=env,
-                                  stdout=subprocess.PIPE,
-                                  stderr=subprocess.STDOUT)
+        second = spawn_serve(serve_args(db, port, recover=True), env,
+                             tmp_path / "second.log")
         wait_for_server(url)
         # Resume from an arbitrary mid-stream point: only the tail returns,
         # in order, ending with the same terminal event.

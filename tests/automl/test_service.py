@@ -20,15 +20,8 @@ from repro.automl import (
     StudyConfig,
     StudyStorage,
 )
-from repro.automl.events import (
-    EventBus,
-    JobStateChanged,
-    TrialFinished,
-    TrialReport,
-    TrialStarted,
-)
+from repro.automl.events import EventBus
 from repro.automl.search_space import SearchSpace, Uniform
-from repro.automl.server import _StorageWriter
 from repro.automl.trial import PrunedTrial, TrialState
 from repro.exceptions import TrialError
 
@@ -467,34 +460,35 @@ class TestBackpressureObservability:
                 "anttune_event_queue_dropped_total"} <= set(summary["metrics"])
 
     def test_event_queue_drops_are_counted(self, space, server):
-        release = threading.Event()
-
-        def gated(trial):
-            assert release.wait(5.0)
-            for step in range(3):
-                trial.report(float(step))
-            return trial.params["x"]
-
-        job_id = server.submit(space, gated, config=StudyConfig(n_trials=3))
-        # A consumer that never reads: its 1-slot queue must shed events.
-        subscription = server.subscribe(job_id, max_queue=1)
-        release.set()
+        # No event log and a bus history shorter than the job: a reader that
+        # attached at submit but reads only after the end skips the events
+        # the history shed, and counts every one of them.
+        server._bus = EventBus(history_limit=8)
+        job_id = server.submit(space, _reporting(3),
+                               config=StudyConfig(n_trials=3))
+        subscription = server.subscribe(job_id)
         server.wait(job_id, timeout=10.0)
         try:
-            assert server._bus.dropped(job_id) > 0
-            assert server._bus.dropped(job_id) == subscription.dropped
+            seqs = [event.seq for event in subscription]
+            dropped = server._bus.dropped(job_id)
+            assert dropped > 0
+            assert seqs == sorted(set(seqs)) and len(seqs) == 8
+            assert seqs[-1] + 1 - len(seqs) == dropped
             samples = server.server_status()["metrics"][
                 "anttune_event_queue_dropped_total"]["samples"]
             # Process-wide: other servers' jobs may share this job id.
             counted = sum(sample["value"] for sample in samples
                           if sample["labels"] == {"job": str(job_id)})
-            assert counted >= subscription.dropped
+            assert counted >= dropped
         finally:
             subscription.close()
 
 
 class TestStorageWriterThread:
-    """Trial rows persist via a background writer, flushed before close."""
+    """Trial rows and statuses persist with the checkpoints, before close.
+
+    (The class keeps its historical name; no writer thread exists now.)
+    """
 
     def test_rows_flushed_by_shutdown(self, space, tmp_path):
         path = str(tmp_path / "writer.db")
@@ -510,29 +504,6 @@ class TestStorageWriterThread:
             assert listed["writer-study"]["num_trials"] == 3
             payload = storage.load_payload("writer-study")
             assert len(payload["trials"]) == 3
-
-    def test_commits_run_on_the_writer_thread_not_the_publisher(self, space):
-        storage = StudyStorage(":memory:")
-        commit_threads = []
-        original = storage.record_trial
-
-        def spy(name, record):
-            commit_threads.append(threading.current_thread().name)
-            return original(name, record)
-
-        storage.record_trial = spy  # type: ignore[method-assign]
-        server = AntTuneServer(num_workers=2, backend="thread",
-                               storage=storage)
-        try:
-            job_id = server.submit(space, lambda t: t.params["x"],
-                                   config=StudyConfig(n_trials=2),
-                                   study_name="bg-study")
-            server.wait(job_id, timeout=10.0)
-        finally:
-            server.shutdown()
-        assert commit_threads, "no trial rows were recorded off the stream"
-        assert all(name.startswith("anttune-storage")
-                   for name in commit_threads), commit_threads
 
     def test_cancelled_queued_job_status_persists(self, space, tmp_path):
         path = str(tmp_path / "cancel.db")
@@ -572,139 +543,180 @@ def _reporting(reports):
     return objective
 
 
-class _RecordingStorage:
-    """Stands in for StudyStorage: records the writer's calls in order."""
+class TestOneWritePath:
+    """Trial rows land only with the checkpoint that charges their budget."""
 
-    def __init__(self, gate=None):
-        self.calls = []
-        self._gate = gate
-        self.entered = threading.Event()
+    def test_crash_between_checkpoints_charges_every_row(self, space,
+                                                         tmp_path):
+        # Freeze the checkpoint after trial 1 of a 4-trial job and snapshot
+        # the database as a crash there leaves it: the rows of the snapshot
+        # must be the ones its budget charges, or a resume runs a 5th trial.
+        path = str(tmp_path / "crash.db")
+        snapshot = str(tmp_path / "snapshot.db")
+        storage = StudyStorage(path)
+        frozen, release = threading.Event(), threading.Event()
+        save_study = storage.save_study
 
-    def record_trial(self, name, record):
-        self.entered.set()
-        if self._gate is not None:
-            assert self._gate.wait(10.0)
-        self.calls.append(("record_trial", name, record["trial_id"]))
+        def checkpoint(name, study, status="running"):
+            if (status == JobState.RUNNING.value and len(study.trials) == 2
+                    and not frozen.is_set()):
+                frozen.set()
+                assert release.wait(10.0)
+            save_study(name, study, status=status)
 
-    def set_status(self, name, status):
-        self.calls.append(("set_status", name, status))
-
-
-def _reference_writer(bus, job_id, storage, name):
-    """The writer as it was: a thread draining an 8192-deep iterator
-    subscription, woken for every event, writing two kinds of them."""
-    subscription = bus.subscribe(job_id, max_queue=8192)
-
-    def drain():
-        for event in subscription:
-            if isinstance(event, TrialFinished):
-                storage.record_trial(name, event.record)
-            elif isinstance(event, JobStateChanged):
-                storage.set_status(name, event.state)
-
-    thread = threading.Thread(target=drain, daemon=True)
-    thread.start()
-    return thread
-
-
-def _publish_job(bus, job_id, trials, reports):
-    bus.publish(JobStateChanged(state="queued", job_id=job_id))
-    bus.publish(JobStateChanged(state="running", job_id=job_id))
-    for trial_id in range(trials):
-        bus.publish(TrialStarted(trial_id=trial_id, job_id=job_id))
-        for step in range(reports):
-            bus.publish(TrialReport(trial_id=trial_id, step=step,
-                                    job_id=job_id))
-        bus.publish(TrialFinished(trial_id=trial_id,
-                                  record={"trial_id": trial_id},
-                                  job_id=job_id))
-    bus.publish(JobStateChanged(state="completed", terminal=True,
-                                job_id=job_id))
-
-
-class TestStorageWriterHandoff:
-    """The writer thread is handed only the events it persists."""
-
-    def test_writes_what_the_iterator_writer_wrote(self):
-        bus = EventBus()
-        reference, changed = _RecordingStorage(), _RecordingStorage()
-        thread = _reference_writer(bus, 1, reference, "s")
-        writer = _StorageWriter(bus, 1, changed, "s")
-        _publish_job(bus, 1, trials=3, reports=10)
-        thread.join(10.0)
-        writer.thread.join(10.0)
-        assert not thread.is_alive() and not writer.thread.is_alive()
-        assert changed.calls == reference.calls
-        assert len(changed.calls) == 3 + 3  # rows + queued/running/completed
-
-    def test_one_item_per_row_and_state_on_a_server(self, space, tmp_path,
-                                                    monkeypatch):
-        handed = []
-        original = _StorageWriter._write
-
-        def counting_write(writer, event):
-            handed.append(event)
-            original(writer, event)
-
-        monkeypatch.setattr(_StorageWriter, "_write", counting_write)
-        path = str(tmp_path / "handoff.db")
-        server = AntTuneServer(num_workers=2, backend="thread", storage=path)
+        storage.save_study = checkpoint  # type: ignore[method-assign]
+        server = AntTuneServer(num_workers=1, backend="thread",
+                               storage=storage)
         try:
-            job_id = server.submit(space, _reporting(6),
+            job_id = server.submit(space, lambda t: t.params["x"],
                                    config=StudyConfig(n_trials=4),
-                                   study_name="handoff")
-            server.wait(job_id, timeout=10.0)
-            stream = list(server.subscribe(job_id))
-            writers = list(server._writers)
+                                   study_name="crash")
+            assert frozen.wait(10.0)
+            # The server goes down with the checkpoint stuck; whatever any
+            # of its threads committed by then is in the snapshot.
+            server.shutdown(wait=False)
+            live, copy = sqlite3.connect(path), sqlite3.connect(snapshot)
+            try:
+                live.backup(copy)
+            finally:
+                live.close()
+                copy.close()
         finally:
+            release.set()
+            try:
+                server.wait(job_id, timeout=10.0)
+            except TrialError:
+                pass  # its pool was closed under it
             server.shutdown()
-        assert all(not w.thread.is_alive() for w in writers)
-        persisted = [e for e in stream
-                     if isinstance(e, (TrialFinished, JobStateChanged))]
-        assert sum(isinstance(e, TrialReport) for e in stream) == 4 * 6
-        assert [e.seq for e in handed] == [e.seq for e in persisted]
-        assert sum(isinstance(e, TrialFinished) for e in handed) == 4
-        with StudyStorage(path) as storage:
-            row = {r["name"]: r for r in storage.list_studies()}["handoff"]
-            assert row["status"] == "completed"
-            assert row["num_trials"] == 4
+            storage.close()
+        with AntTuneServer(num_workers=1, backend="thread",
+                           storage=snapshot) as resumed:
+            payload = resumed.storage.load_payload("crash")
+            assert payload["budget_used"] == 1
+            assert [r["trial_id"] for r in payload["trials"]] == [0]
+            job_id = resumed.resume("crash", space, lambda t: t.params["x"])
+            resumed.wait(job_id, timeout=10.0)
+            assert resumed.status(job_id)["num_trials"] == 4
+            assert resumed.storage.load_payload("crash")["budget_used"] == 4
 
-    def test_bounded_queue_never_blocks_the_publisher(self):
-        gate = threading.Event()
-        storage = _RecordingStorage(gate)
-        bus = EventBus()
-        writer = _StorageWriter(bus, 1, storage, "s", max_queue=2)
-        bus.publish(TrialFinished(trial_id=0, record={"trial_id": 0},
-                                  job_id=1))
-        assert storage.entered.wait(10.0)  # the writer holds row 0
-        for trial_id in range(1, 6):
-            bus.publish(TrialFinished(trial_id=trial_id,
-                                      record={"trial_id": trial_id},
-                                      job_id=1))
-        bus.publish(JobStateChanged(state="completed", terminal=True,
-                                    job_id=1))
-        assert bus.dropped(1) == 4  # rows 1..4 shed; row 5 and terminal kept
-        gate.set()
-        writer.thread.join(10.0)
-        assert not writer.thread.is_alive()
-        assert storage.calls == [("record_trial", "s", 0),
-                                 ("record_trial", "s", 5),
-                                 ("set_status", "s", "completed")]
+    def test_status_moves_queued_running_terminal(self, space, tmp_path):
+        release = threading.Event()
 
-    def test_close_without_terminal_ends_the_writer(self):
-        storage = _RecordingStorage()
-        bus = EventBus()
-        writer = _StorageWriter(bus, 1, storage, "s")
-        bus.publish(TrialReport(trial_id=0, job_id=1))
-        bus.publish(TrialFinished(trial_id=0, record={"trial_id": 0},
-                                  job_id=1))
-        writer.close()
-        writer.thread.join(10.0)
-        assert not writer.thread.is_alive()
-        assert storage.calls == [("record_trial", "s", 0)]
-        bus.publish(TrialFinished(trial_id=1, record={"trial_id": 1},
-                                  job_id=1))  # detached: not handed over
-        assert storage.calls == [("record_trial", "s", 0)]
+        def gated(trial):
+            assert release.wait(10.0)
+            return trial.params["x"]
+
+        storage = StudyStorage(str(tmp_path / "status.db"))
+        with AntTuneServer(num_workers=1, backend="thread",
+                           storage=storage) as server:
+            job_id = server.submit(space, gated,
+                                   config=StudyConfig(n_trials=1),
+                                   study_name="moves")
+            stream = server.subscribe(job_id)
+            try:
+                assert storage.study_status("moves") in ("queued", "running")
+                # The status write precedes the first trial on the job's
+                # thread: once a trial started, the column reads running.
+                for event in stream:
+                    if type(event).__name__ == "TrialStarted":
+                        break
+                assert storage.study_status("moves") == "running"
+                release.set()
+                server.wait(job_id, timeout=10.0)
+            finally:
+                release.set()
+                stream.close()
+        assert storage.study_status("moves") == "completed"
+        storage.close()
+
+    def test_failing_status_write_still_ends_the_job(self, space, tmp_path):
+        storage = StudyStorage(str(tmp_path / "dying.db"))
+
+        def dying(name, status):
+            raise TrialError("disk gone")
+
+        storage.set_status = dying  # type: ignore[method-assign]
+        with AntTuneServer(num_workers=1, backend="thread",
+                           storage=storage) as server:
+            job_id = server.submit(space, lambda t: t.params["x"],
+                                   config=StudyConfig(n_trials=2))
+            stream = server.subscribe(job_id)
+            events = list(stream)
+            assert events[-1].terminal and events[-1].state == "completed"
+            assert server.wait(job_id, timeout=10.0).value is not None
+            assert "disk gone" in server.status(job_id)["error"]
+        storage.close()
+
+
+class TestInProcessReads:
+    """``subscribe()`` is a cursor over the job's window, like a stream."""
+
+    @pytest.mark.parametrize("history_limit", [8192, 256])
+    def test_reader_far_behind_gets_every_seq_with_a_log(
+            self, space, tmp_path, history_limit):
+        # 4 trials x 350 reports: well over a thousand events, all read only
+        # after the job ended.  With history_limit=256 the reader starts in
+        # the durable log.
+        with AntTuneServer(num_workers=2, backend="thread",
+                           storage=str(tmp_path / "reads.db")) as server:
+            server._bus = EventBus(history_limit=history_limit)
+            job_id = server.submit(space, _reporting(350),
+                                   config=StudyConfig(n_trials=4))
+            stream = server.subscribe(job_id)
+            server.wait(job_id, timeout=30.0)
+            try:
+                seqs = [event.seq for event in stream]
+            finally:
+                stream.close()
+            assert len(seqs) > 1024
+            assert seqs == list(range(len(seqs)))
+            assert seqs[-1] == server.event_log.last_seq(job_id)
+            assert server._bus.dropped(job_id) == 0
+
+    def test_reader_far_behind_without_a_log_counts_what_it_skips(self,
+                                                                  space):
+        with AntTuneServer(num_workers=2, backend="thread") as server:
+            server._bus = EventBus(history_limit=256)
+            job_id = server.submit(space, _reporting(350),
+                                   config=StudyConfig(n_trials=4))
+            stream = server.subscribe(job_id)
+            server.wait(job_id, timeout=30.0)
+            try:
+                events = list(stream)
+            finally:
+                stream.close()
+            seqs = [event.seq for event in events]
+            assert events[-1].terminal
+            assert seqs == sorted(set(seqs)) and len(seqs) == 256
+            missing = seqs[-1] + 1 - len(seqs)
+            assert missing > 1024 - 256
+            assert missing == server._bus.dropped(job_id)
+
+    def test_get_waits_for_live_events_and_times_out(self, space):
+        release = threading.Event()
+
+        def gated(trial):
+            assert release.wait(10.0)
+            return trial.params["x"]
+
+        with AntTuneServer(num_workers=1, backend="thread") as server:
+            job_id = server.submit(space, gated,
+                                   config=StudyConfig(n_trials=1))
+            stream = server.subscribe(job_id)
+            try:
+                assert stream.get(timeout=5.0).state == "queued"
+                assert stream.get(timeout=5.0).state == "running"
+                assert type(stream.get(timeout=5.0)).__name__ == \
+                    "TrialStarted"
+                with pytest.raises(TimeoutError):
+                    stream.get(timeout=0.05)
+                release.set()
+                rest = list(stream)
+                assert rest[-1].terminal
+                assert stream.get(timeout=0.0) is None  # ended: no wait
+            finally:
+                release.set()
+                stream.close()
 
 
 def _open_paths_under(root):

@@ -1,12 +1,14 @@
-"""A state-machine model of one job's HTTP event streams, without the edge.
+"""A state-machine model of one job's event streams, without the edge.
 
 Each stream is a cursor: the edge keeps the last seq it wrote, reads the
 frames after it from the job's window (the bus history, up to what the
 stream's subscription has seen) and, when the cursor is older than that
-history, runs one catch-up chunk from the durable log.  Hypothesis
-interleaves publishes, bounded reads, catch-up chunks and the job's end
-across several readers — no sockets, threads or sleeps — and checks the
-guarantees after every step:
+history, runs one catch-up chunk from the durable log.  An in-process
+reader (``subscribe()`` without a callback) runs the same window read on
+its consumer's thread, one ``get`` at a time.  Hypothesis interleaves
+publishes, bounded reads, catch-up chunks, ``get`` calls and the job's end
+across several readers of both kinds — no sockets, threads or sleeps — and
+checks the guarantees after every step:
 
 * every stream is an in-order run of seqs with no repeat, and a stream
   that ended ends with exactly one terminal event;
@@ -32,7 +34,13 @@ from hypothesis.stateful import (
 )
 
 from repro.automl.eventlog import EventLog
-from repro.automl.events import EventBus, JobStateChanged, TrialReport
+from repro.automl.events import (
+    EventBus,
+    EventCursor,
+    JobStateChanged,
+    TrialReport,
+    event_to_wire,
+)
 from repro.automl.remote.http_server import _TuneFeed
 from repro.automl.server import EventWindow
 
@@ -55,8 +63,45 @@ class _Reader:
         self.ended = self.ended or end
 
 
+class _LocalReader:
+    """One in-process reader: an :class:`EventCursor` read through ``get``."""
+
+    def __init__(self, cursor: EventCursor) -> None:
+        self.stream = cursor
+        self.catching_up = False
+        self.ended = False
+        self.frames = []
+
+    @property
+    def cursor(self) -> int:
+        # The seq before the next one get returns: every seq up to it was
+        # returned or counted as a drop.  (A window read takes a contiguous
+        # run of the history, so the buffered run starts right after it.)
+        stream = self.stream
+        return (stream._pending[0].seq - 1 if stream._pending
+                else stream._cursor)
+
+    def get(self, count: int, published: int) -> None:
+        for _ in range(count):
+            try:
+                event = self.stream.get(timeout=0)
+            except TimeoutError:
+                # Publishing delivers synchronously here: get may wait only
+                # once it has read every seq published so far.
+                assert not self.ended, "an ended cursor waited"
+                assert self.cursor == published - 1, "a cursor stalled"
+                return
+            if event is None:
+                assert self.ended, "the cursor ended before the terminal"
+                return
+            self.frames.append(event_to_wire(event))
+            self.ended = self.ended or (isinstance(event, JobStateChanged)
+                                        and event.terminal)
+
+
 class StreamModel(RuleBasedStateMachine):
     readers = Bundle("readers")
+    local_readers = Bundle("local_readers")
 
     @initialize(logged=st.booleans(), history_limit=st.integers(2, 6))
     def open_job(self, logged, history_limit):
@@ -67,6 +112,7 @@ class StreamModel(RuleBasedStateMachine):
             # Registered before any stream, as the server does at submit.
             self.bus.subscribe(JOB, callback=self.log.append)
         self.windows = []
+        self.cursors = []
         self.all_readers = []
         self.published = 0
         self.ended = False
@@ -74,6 +120,8 @@ class StreamModel(RuleBasedStateMachine):
     def teardown(self):
         for window in getattr(self, "windows", ()):
             window.close()
+        for cursor in getattr(self, "cursors", ()):
+            cursor.close()
         if getattr(self, "log", None) is not None:
             self.log.close()
         if hasattr(self, "root"):
@@ -122,6 +170,19 @@ class StreamModel(RuleBasedStateMachine):
             return
         reader.catching_up = False
         reader.apply(reader.feed.backlog(reader.cursor, max_bytes))
+
+    @rule(target=local_readers, chunk=st.integers(1, 4))
+    def attach_in_process(self, chunk):
+        cursor = EventCursor(self.bus, JOB, self.log)
+        cursor.CHUNK = chunk  # small chunks: a catch-up takes several reads
+        self.cursors.append(cursor)
+        reader = _LocalReader(cursor)
+        self.all_readers.append(reader)
+        return reader
+
+    @rule(reader=local_readers, count=st.integers(1, 6))
+    def get(self, reader, count):
+        reader.get(count, self.published)
 
     # -- the guarantees ------------------------------------------------- #
     @invariant()
