@@ -191,12 +191,14 @@ def _timed_chunk(bus, base_step, enabled):
 def _measure_overhead(root):
     """One attempt: paired alternating chunks, low-quantile mode comparison.
 
-    ``fsync`` is ``"never"`` so the comparison measures code, not the disk's
-    sync jitter (appends still flush to the OS either way).  Chunk pairs
+    The log is the production one: every append flushes to the OS, and an
+    fsync falls due at most once per ``FSYNC_INTERVAL`` (1 s), so the few
+    chunks that pay one drop out of the fastest-chunk quantile and the
+    comparison measures code, not the disk's sync jitter.  Chunk pairs
     alternate which mode goes first so a machine-wide slowdown cannot
     systematically tax one mode.
     """
-    log = EventLog(root, fsync="never")
+    log = EventLog(root)
     seen = []
     bus = EventBus()
     bus.subscribe(7, callback=log.append)

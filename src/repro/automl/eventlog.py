@@ -26,34 +26,31 @@ exactly the bytes the remote NDJSON stream ships, so ``tail -f`` on a segment
 shows the live wire format and the CLI ``log`` subcommand can print replayable
 lines.  The segment file name carries the first sequence number it holds
 (**seq-indexed**): a reader resuming from ``last_seq`` skips whole segments
-below it without parsing a line, and compaction can drop whole old segments
-while knowing exactly which seq range it sheds.
+below it without parsing a line, then binary-searches the segment it lands
+in for the first line past the cursor.
+
+A record is complete once its terminating newline is on disk.  A torn final
+record (a crash mid-write) is skipped on read, and reopening the job for
+append truncates it first, so the next record starts on a line of its own.
 
 Durability policy
 -----------------
 
 Every append is flushed to the OS (``file.flush()``), so a killed *process*
-(SIGKILL, OOM) loses nothing that was published.  ``fsync`` controls the
-stronger machine-crash guarantee:
+(SIGKILL, OOM) loses nothing that was published.  Against a machine crash,
+a job's segment is fsynced at most once per :data:`FSYNC_INTERVAL` seconds,
+and also on rotation, on the job's terminal event (which also closes the
+job's segment handle), in :meth:`EventLog.flush` and in
+:meth:`EventLog.close`.
 
-* ``"always"`` — fsync after every append (safest, slowest);
-* ``"interval"`` (default) — fsync at most every ``fsync_interval`` seconds,
-  plus on segment rotation, on a job's terminal event (which also closes
-  the job's segment handle) and on close;
-* ``"never"`` — leave flushing to the OS.
+Segments and retention
+----------------------
 
-A torn final line (a crash mid-write) is tolerated on read: lines that fail
-to parse are skipped, so recovery sees every *complete* record.
-
-Bounded segments
-----------------
-
-A segment rotates once it reaches ``segment_max_bytes``; when a job exceeds
-``max_segments`` segments, the oldest whole segments are deleted
-(*seq-aware compaction*: the deleted range is exactly ``[0, first seq of the
-oldest surviving segment)``, so a reader below that point sees a clean gap it
-can report, never a half-segment).  The newest segment — which holds the
-terminal event once the job ends — is never compacted away.
+A segment rotates once it reaches :data:`SEGMENT_MAX_BYTES`.  No segment is
+deleted while its study exists, so every logged event stays replayable:
+a job's log goes with its study, when
+:meth:`~repro.automl.storage.StudyStorage.delete_study` or ``gc`` removes
+the study (:meth:`EventLog.remove_study`).
 """
 
 from __future__ import annotations
@@ -63,10 +60,10 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.automl import metrics as _metrics
 from repro.automl.events import (
@@ -76,22 +73,25 @@ from repro.automl.events import (
     event_wire_bytes,
 )
 
-__all__ = ["EventLog", "FSYNC_POLICIES"]
+__all__ = ["EventLog", "FSYNC_INTERVAL", "SEGMENT_MAX_BYTES"]
 
 # Durability-path timings; each histogram's _count doubles as the operation
 # counter (appends/fsyncs/rotations), matching EventLog.stats().
 _APPEND_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_eventlog_append_seconds",
     "EventLog.append latency (serialise + write + flush, fsync included "
-    "when the policy triggers one).")
+    "when one is due).")
 _FSYNC_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_eventlog_fsync_seconds", "EventLog fsync latency.")
 _ROTATION_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_eventlog_rotation_seconds",
-    "EventLog segment rotation latency (close + open + compaction).")
+    "EventLog segment rotation latency (close + open).")
 
-#: Accepted values for the ``fsync`` policy.
-FSYNC_POLICIES = ("always", "interval", "never")
+#: A job's active segment rotates once it holds this many bytes.
+SEGMENT_MAX_BYTES = 1 << 20
+#: Seconds between a job's interval fsyncs; rotation, the job's terminal
+#: event, ``flush()`` and ``close()`` fsync as well.
+FSYNC_INTERVAL = 1.0
 
 _SEGMENT_PREFIX = "events-"
 _SEGMENT_SUFFIX = ".ndjson"
@@ -110,16 +110,56 @@ def _segment_first_seq(path: Path) -> Optional[int]:
     return int(digits) if digits.isdigit() else None
 
 
+def _records(path: Path) -> List[bytes]:
+    """A segment's complete (newline-terminated) lines; [] once it is gone."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return []  # removed under us: its study was deleted
+    return data.split(b"\n")[:-1]  # the last piece is b"" or a torn tail
+
+
+def _parse(raw: bytes) -> Optional[Event]:
+    """The event a logged line holds, the line cached as its wire bytes
+    (append() wrote exactly those); None for a blank or torn line."""
+    if not raw.strip():
+        return None
+    try:
+        event = event_from_wire(json.loads(raw.decode("utf-8")))
+    except ValueError:  # torn or glued line (UnicodeDecodeError included)
+        return None
+    object.__setattr__(event, "_wire_bytes", raw + b"\n")
+    return event
+
+
+def _first_after(lines: List[bytes], after_seq: int) -> int:
+    """Index of the first line of a segment past ``after_seq``.
+
+    The lines that parse are in seq order within a segment, so this is a
+    binary search; a probe that lands on a line that does not parse moves on
+    to the next one that does.  Every parsed line before the index has
+    ``seq <= after_seq``.
+    """
+    lo, hi = 0, len(lines)
+    while lo < hi:
+        mid = probe = (lo + hi) // 2
+        event = None
+        while probe < hi and (event := _parse(lines[probe])) is None:
+            probe += 1
+        if event is not None and event.seq <= after_seq:
+            lo = probe + 1
+        else:
+            hi = mid  # lines[mid:probe] do not parse; the rest is past
+    return lo
+
+
 @dataclass
 class _Appender:
     """Open write state for one job's current segment."""
 
-    handle: Optional[object] = None
-    path: Optional[Path] = None
-    size: int = 0
-    last_fsync: float = 0.0
-    events: int = 0
-    pending_fsync: bool = field(default=False)
+    handle: BinaryIO
+    size: int
+    last_fsync: float
 
 
 class EventLog:
@@ -127,39 +167,16 @@ class EventLog:
 
     Args:
         root: directory holding one ``job-<id>/`` subdirectory per job.
-        segment_max_bytes: rotate the active segment at this size.
-        max_segments: per-job bound; the oldest whole segments beyond it are
-            deleted on rotation (seq-aware compaction).
-        fsync: durability policy — ``"always"``, ``"interval"`` or
-            ``"never"`` (see module docs).  Appends always flush to the OS.
-        fsync_interval: seconds between fsyncs under the ``"interval"``
-            policy.
         create: create ``root`` if missing.  Pass False for read-only
             inspection (the CLI ``log`` subcommand) so a typo'd path errors
             instead of materialising an empty log.
 
     Raises:
-        ValueError: unknown ``fsync`` policy or non-positive bounds.
         FileNotFoundError: ``create=False`` and ``root`` does not exist.
     """
 
-    def __init__(self, root: str, segment_max_bytes: int = 1 << 20,
-                 max_segments: int = 64, fsync: str = "interval",
-                 fsync_interval: float = 1.0, create: bool = True) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"unknown fsync policy {fsync!r}; expected one "
-                             f"of {FSYNC_POLICIES}")
-        if segment_max_bytes < 1:
-            raise ValueError("segment_max_bytes must be >= 1")
-        if max_segments < 1:
-            raise ValueError("max_segments must be >= 1")
-        if fsync_interval < 0:
-            raise ValueError("fsync_interval must be >= 0")
+    def __init__(self, root: str, create: bool = True) -> None:
         self.root = Path(root)
-        self.segment_max_bytes = int(segment_max_bytes)
-        self.max_segments = int(max_segments)
-        self.fsync = fsync
-        self.fsync_interval = float(fsync_interval)
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
@@ -169,7 +186,6 @@ class EventLog:
         # Operator-facing counters (surfaced through server_status()).
         self.appended = 0
         self.rotations = 0
-        self.compacted_segments = 0
         self.fsyncs = 0
 
     # ------------------------------------------------------------------ #
@@ -270,11 +286,10 @@ class EventLog:
         Called synchronously from the bus's publish path (a callback
         subscription), so by the time any stream reader sees an event it is
         already flushed to the OS — a killed process loses nothing it
-        delivered.  Rotation and compaction happen inline when the active
-        segment fills.  A job's terminal event also closes its segment (after
-        an fsync, policy permitting): a long-lived server holds open handles
-        only for jobs still running, and a later append (a recovered job)
-        reopens the newest segment.
+        delivered.  Rotation happens inline when the active segment fills.
+        A job's terminal event also closes its segment (after an fsync): a
+        long-lived server holds open handles only for jobs still running,
+        and a later append (a recovered job) reopens the newest segment.
 
         Args:
             event: a published event — ``job_id`` set and ``seq`` stamped.
@@ -297,72 +312,55 @@ class EventLog:
         with self._lock:
             appender = self._appenders.get(job_id)
             if appender is None:
-                appender = self._appenders[job_id] = self._open_appender(job_id)
-            if appender.handle is None or appender.size >= self.segment_max_bytes:
+                appender = self._appenders[job_id] = self._open_appender(
+                    job_id, first_seq=seq)
+            if appender.size >= SEGMENT_MAX_BYTES:
                 self._rotate(job_id, appender, first_seq=seq)
             appender.handle.write(line)
             appender.handle.flush()
             appender.size += len(line)
-            appender.events += 1
             self.appended += 1
-            if self.fsync == "always" or terminal:
-                self._fsync(appender)  # a no-op under "never"
-            elif self.fsync == "interval":
-                now = time.monotonic()
-                if now - appender.last_fsync >= self.fsync_interval:
-                    self._fsync(appender)
-                    appender.last_fsync = now
+            now = time.monotonic()
+            if terminal or now - appender.last_fsync >= FSYNC_INTERVAL:
+                self._fsync(appender)
+                appender.last_fsync = now
             if terminal:
                 appender.handle.close()
                 del self._appenders[job_id]
         _APPEND_SECONDS.observe(perf_counter() - append_start)
 
-    def _open_appender(self, job_id: int) -> _Appender:
-        """Resume appending to the job's newest segment (or start fresh)."""
-        self._job_dir(job_id).mkdir(parents=True, exist_ok=True)
+    def _open_appender(self, job_id: int, first_seq: int) -> _Appender:
+        """Append after the newest segment's last complete record.
+
+        A job with no segment yet starts one at ``first_seq``.
+        """
+        job_dir = self._job_dir(job_id)
+        job_dir.mkdir(parents=True, exist_ok=True)
         segments = self._segments(job_id)
+        path = (segments[-1][1] if segments
+                else job_dir / _segment_name(first_seq))
+        data = path.read_bytes() if segments else b""
+        size = data.rfind(b"\n") + 1
+        if size < len(data):
+            # A torn tail: cut it, or the next record would be glued to it
+            # and neither line could be read back.
+            os.truncate(path, size)
         # The interval clock starts now: a job's first append (its QUEUED
         # event, inside the submit request) waits for the interval like any
         # other instead of paying an fsync.
-        appender = _Appender(last_fsync=time.monotonic())
-        if segments:
-            _, path = segments[-1]
-            appender.path = path
-            appender.size = path.stat().st_size
-            appender.handle = open(path, "ab")
-        return appender
+        return _Appender(open(path, "ab"), size, time.monotonic())
 
     def _rotate(self, job_id: int, appender: _Appender, first_seq: int) -> None:
         """Close the active segment and open a new one starting at ``first_seq``."""
         with _ROTATION_SECONDS.time():
-            self._rotate_locked(job_id, appender, first_seq)
-
-    def _rotate_locked(self, job_id: int, appender: _Appender,
-                       first_seq: int) -> None:
-        if appender.handle is not None:
             self._fsync(appender)
             appender.handle.close()
             self.rotations += 1
-        path = self._job_dir(job_id) / _segment_name(first_seq)
-        appender.handle = open(path, "ab")
-        appender.path = path
-        appender.size = path.stat().st_size
-        # Enforce the per-job segment bound, oldest first; the segment just
-        # opened (and with it any terminal event to come) always survives.
-        segments = self._segments(job_id)
-        while len(segments) > self.max_segments:
-            _, oldest = segments.pop(0)
-            if oldest == appender.path:  # pragma: no cover - max_segments>=1
-                break
-            try:
-                oldest.unlink()
-                self.compacted_segments += 1
-            except OSError:  # pragma: no cover - raced removal
-                break
+            path = self._job_dir(job_id) / _segment_name(first_seq)
+            appender.handle = open(path, "ab")
+            appender.size = path.stat().st_size
 
     def _fsync(self, appender: _Appender) -> None:
-        if appender.handle is None or self.fsync == "never":
-            return
         try:
             fsync_start = perf_counter()
             os.fsync(appender.handle.fileno())
@@ -378,8 +376,10 @@ class EventLog:
         """Yield the job's logged events with ``seq > after_seq``, in order.
 
         Segments entirely below ``after_seq`` are skipped by file name
-        (seq-indexed, no parsing); torn or corrupt lines are skipped; a
-        segment deleted mid-read (concurrent compaction) is skipped whole.
+        (seq-indexed, no parsing), and the segment holding the cursor is
+        binary-searched for the first line past it, so a read parses about
+        the lines it yields.  Torn or corrupt lines are skipped; a segment
+        removed mid-read (its study was deleted) is skipped whole.
 
         Args:
             job_id: the job to read.
@@ -397,21 +397,12 @@ class EventLog:
                           else None)
             if next_first is not None and next_first <= after_seq + 1:
                 continue  # every seq in this segment is <= after_seq
-            try:
-                raw_lines = path.read_bytes().splitlines()
-            except OSError:
-                continue  # compacted away under us
-            for raw in raw_lines:
-                if not raw.strip():
-                    continue
-                try:
-                    event = event_from_wire(json.loads(raw.decode("utf-8")))
-                except (ValueError, UnicodeDecodeError):
-                    continue  # torn tail from a crash mid-write
-                if event.seq > after_seq:
-                    # The line is the event's wire bytes: append() wrote
-                    # exactly event_wire_bytes(event).
-                    object.__setattr__(event, "_wire_bytes", raw + b"\n")
+            lines = _records(path)
+            start = 0 if first_seq > after_seq else _first_after(lines,
+                                                                 after_seq)
+            for raw in lines[start:]:
+                event = _parse(raw)
+                if event is not None and event.seq > after_seq:
                     yield event
 
     def last_seq(self, job_id: int) -> int:
@@ -421,55 +412,21 @@ class EventLog:
 
     def last_event(self, job_id: int) -> Optional[Event]:
         """The newest parseable logged event of ``job_id``, or None."""
-        for first_seq, path in reversed(self._segments(job_id)):
-            try:
-                raw_lines = path.read_bytes().splitlines()
-            except OSError:
-                continue
-            for raw in reversed(raw_lines):
-                if not raw.strip():
-                    continue
-                try:
-                    return event_from_wire(json.loads(raw.decode("utf-8")))
-                except (ValueError, UnicodeDecodeError):
-                    continue  # torn tail
+        for _, path in reversed(self._segments(job_id)):
+            for raw in reversed(_records(path)):
+                event = _parse(raw)
+                if event is not None:
+                    return event
         return None
 
     # ------------------------------------------------------------------ #
-    # Compaction and removal
+    # Removal
     # ------------------------------------------------------------------ #
-    def compact(self, job_id: int, keep_after_seq: int) -> int:
-        """Drop whole segments whose every seq is ``<= keep_after_seq``.
-
-        Seq-aware: only segments fully below the keep point are deleted (a
-        segment straddling it survives intact), and the newest segment is
-        never deleted — the terminal event always remains replayable.
-
-        Args:
-            job_id: the job to compact.
-            keep_after_seq: events with seq above this must survive.
-
-        Returns:
-            The number of segments deleted.
-        """
-        removed = 0
-        with self._lock:
-            segments = self._segments(job_id)
-            for index, (first_seq, path) in enumerate(segments[:-1]):
-                if segments[index + 1][0] <= keep_after_seq + 1:
-                    try:
-                        path.unlink()
-                        removed += 1
-                        self.compacted_segments += 1
-                    except OSError:  # pragma: no cover - raced removal
-                        pass
-        return removed
-
     def remove_job(self, job_id: int) -> None:
         """Delete a job's directory (meta + all segments); idempotent."""
         with self._lock:
             appender = self._appenders.pop(job_id, None)
-            if appender is not None and appender.handle is not None:
+            if appender is not None:
                 appender.handle.close()
             shutil.rmtree(self._job_dir(job_id), ignore_errors=True)
 
@@ -495,34 +452,29 @@ class EventLog:
     # Lifecycle / introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Operator counters: appends, rotations, compactions, fsyncs."""
+        """Operator counters: jobs, appends, rotations, fsyncs."""
         with self._lock:
             return {
                 "root": str(self.root),
                 "jobs": len(self.jobs()),
                 "appended": self.appended,
                 "rotations": self.rotations,
-                "compacted_segments": self.compacted_segments,
                 "fsyncs": self.fsyncs,
             }
 
     def flush(self) -> None:
-        """Flush (and, policy permitting, fsync) every open segment."""
+        """Flush and fsync every open segment."""
         with self._lock:
             for appender in self._appenders.values():
-                if appender.handle is not None:
-                    appender.handle.flush()
-                    self._fsync(appender)
+                appender.handle.flush()
+                self._fsync(appender)
 
     def close(self) -> None:
         """Flush and close every open segment handle (the log stays readable)."""
         with self._lock:
+            self.flush()
             for appender in self._appenders.values():
-                if appender.handle is not None:
-                    appender.handle.flush()
-                    self._fsync(appender)
-                    appender.handle.close()
-                    appender.handle = None
+                appender.handle.close()
             self._appenders.clear()
 
     def __enter__(self) -> "EventLog":

@@ -729,9 +729,12 @@ class EventWindow:
         #: The terminal event's seq, once delivered.
         self.final: Optional[int] = None
         self._bus = bus
-        self._wake = wake
+        self._wake: Optional[Callable[[], None]] = None
         self._subscription = (bus.subscribe(job_id, callback=self._observe)
                               if live else None)
+        # Armed after the replay, which only sets seen/final: every reader
+        # reads before it waits, so no delivery before this line is lost.
+        self._wake = wake
 
     @property
     def live(self) -> bool:
@@ -812,7 +815,8 @@ class EventWindow:
         end = False
         for event in events:
             if event.seq > cursor + 1:
-                # A hole in the log (compacted or torn): counted, like a skip.
+                # A hole in the log (an append that raised, which the bus
+                # swallows): counted, like a skip.
                 self._bus.note_drops(self.job_id, event.seq - cursor - 1)
             item = event if frame is None else frame(event)
             items.append(item)

@@ -259,8 +259,8 @@ class _StreamSink:
 
     The app calls :meth:`on_close` and then :meth:`start`, once each, from
     the worker thread running ``stream_begin``; :meth:`wake` may be called
-    from any thread at any time (during the bus's synchronous replay
-    included).  Everything else happens on the loop thread.
+    from any thread at any time (before :meth:`start` included).
+    Everything else happens on the loop thread.
     """
 
     __slots__ = ("_edge", "_conn", "_request_id", "feed", "cursor",

@@ -3,19 +3,28 @@
 The log is the restart-survival layer under the remote event stream, so the
 properties tested here are the ones recovery and ``?last_seq=`` replay lean
 on: append/read round-trips in seq order, segment rotation by size, seq-aware
-segment skipping on partial reads, bounded-segment compaction that never
-loses the newest segment (and with it the terminal event), torn-tail
-tolerance, and metadata persistence.
+segment skipping and in-segment seeking on partial reads, retention of every
+segment for the study's lifetime, torn-tail tolerance on read and on the
+append that follows a crash, and metadata persistence.  Tests that need
+small segments or a long fsync interval monkeypatch the module constants
+``SEGMENT_MAX_BYTES`` and ``FSYNC_INTERVAL``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.automl.eventlog import FSYNC_POLICIES, EventLog
+from repro.automl import eventlog
+from repro.automl.eventlog import EventLog
 from repro.automl.events import (
     EVENT_TYPES,
     EventBus,
@@ -24,13 +33,31 @@ from repro.automl.events import (
     TrialKilled,
     TrialReport,
     TrialStarted,
+    event_from_wire,
     event_to_wire,
     event_wire_bytes,
 )
 
 
-def make_log(tmp_path, **kwargs):
-    return EventLog(str(tmp_path / "events"), **kwargs)
+def make_log(tmp_path):
+    return EventLog(str(tmp_path / "events"))
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """Rotate segments at 150 bytes: a few events each."""
+    monkeypatch.setattr(eventlog, "SEGMENT_MAX_BYTES", 150)
+
+
+@pytest.fixture
+def hour_interval(monkeypatch):
+    """An fsync interval no test outlasts: only forced fsyncs happen."""
+    monkeypatch.setattr(eventlog, "FSYNC_INTERVAL", 3600.0)
+
+
+def segment_paths(tmp_path, job_id=1):
+    return sorted((tmp_path / "events" / f"job-{job_id}")
+                  .glob("events-*.ndjson"))
 
 
 def publish_stream(log, job_id, n_reports=5, terminal="completed"):
@@ -177,8 +204,8 @@ class TestAppendRead:
 
 
 class TestSegments:
-    def test_rotation_by_size(self, tmp_path):
-        log = make_log(tmp_path, segment_max_bytes=150)
+    def test_rotation_by_size(self, tmp_path, small_segments):
+        log = make_log(tmp_path)
         log.open_job(1, "s")
         publish_stream(log, 1, n_reports=20)
         segments = sorted((tmp_path / "events" / "job-1")
@@ -189,8 +216,8 @@ class TestSegments:
         seqs = [e.seq for e in log.read(1)]
         assert seqs == list(range(len(seqs)))
 
-    def test_segment_names_carry_first_seq(self, tmp_path):
-        log = make_log(tmp_path, segment_max_bytes=150)
+    def test_segment_names_carry_first_seq(self, tmp_path, small_segments):
+        log = make_log(tmp_path)
         log.open_job(1, "s")
         publish_stream(log, 1, n_reports=20)
         for segment in (tmp_path / "events" / "job-1").glob("events-*.ndjson"):
@@ -198,49 +225,105 @@ class TestSegments:
             first_line = segment.read_text().splitlines()[0]
             assert json.loads(first_line)["seq"] == first_named
 
-    def test_max_segments_compacts_oldest(self, tmp_path):
-        log = make_log(tmp_path, segment_max_bytes=150, max_segments=2)
+    def test_every_segment_is_kept(self, tmp_path, small_segments):
+        """No segment is deleted while the job's log exists: with more than
+        64 segments, the log still reads back from seq 0 to the terminal
+        event."""
+        log = make_log(tmp_path)
         log.open_job(1, "s")
-        publish_stream(log, 1, n_reports=30)
-        segments = sorted((tmp_path / "events" / "job-1")
-                          .glob("events-*.ndjson"))
-        assert len(segments) <= 2
-        assert log.stats()["compacted_segments"] > 0
-        # The surviving tail is contiguous and ends with the terminal event.
+        publish_stream(log, 1, n_reports=300)
+        assert len(segment_paths(tmp_path)) > 64
+        assert log.stats()["rotations"] == len(segment_paths(tmp_path)) - 1
         events = list(log.read(1))
-        seqs = [e.seq for e in events]
-        assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+        assert [e.seq for e in events] == list(range(len(events)))
         assert events[-1].terminal
+        assert set(log.stats()) == {"root", "jobs", "appended", "rotations",
+                                    "fsyncs"}
 
-    def test_compact_is_seq_aware_and_keeps_newest(self, tmp_path):
-        log = make_log(tmp_path, segment_max_bytes=150)
-        log.open_job(1, "s")
-        publish_stream(log, 1, n_reports=30)
-        last = log.last_seq(1)
-        removed = log.compact(1, keep_after_seq=last)
-        assert removed >= 1
-        events = list(log.read(1))
-        assert events and events[-1].terminal  # newest segment survived
-        assert log.compact(1, keep_after_seq=last) == 0  # idempotent
-
-    def test_compact_keeps_straddling_segment(self, tmp_path):
-        log = make_log(tmp_path, segment_max_bytes=150)
-        log.open_job(1, "s")
-        publish_stream(log, 1, n_reports=30)
-        mid = log.last_seq(1) // 2
-        log.compact(1, keep_after_seq=mid)
-        # Everything after the keep point must still be readable.
-        seqs = [e.seq for e in log.read(1, after_seq=mid)]
-        assert seqs and seqs == list(range(mid + 1, seqs[-1] + 1))
-
-    def test_partial_read_skips_whole_segments(self, tmp_path):
+    def test_partial_read_skips_whole_segments(self, tmp_path,
+                                               small_segments):
         """Resuming near the tail parses only the tail segments."""
-        log = make_log(tmp_path, segment_max_bytes=150)
+        log = make_log(tmp_path)
         log.open_job(1, "s")
         publish_stream(log, 1, n_reports=30)
         last = log.last_seq(1)
         tail = list(log.read(1, after_seq=last - 1))
         assert [e.seq for e in tail] == [last]
+
+
+class TestSeek:
+    def test_read_from_a_late_cursor_parses_what_it_yields(self, tmp_path,
+                                                         monkeypatch):
+        """A read after seq 9000 binary-searches its segment.
+
+        Reading 100 events after seq 9000 of a 20,001-event log parses at
+        most 100 lines plus two per halving of the segment, not the 9,000
+        lines before the cursor.
+        """
+        log = make_log(tmp_path)
+        log.open_job(1, "s")
+        for seq in range(20001):
+            log.append(TrialReport(trial_id=0, step=seq, value=0.5, job_id=1,
+                                   seq=seq))
+        log.close()
+        segment = [path for path in segment_paths(tmp_path)
+                   if int(path.stem.split("-")[1]) <= 9001][-1]
+        lines = len(segment.read_bytes().splitlines())
+        assert lines > 9001  # the cursor lands mid-segment
+        parsed = []
+
+        def counting(payload):
+            parsed.append(payload["seq"])
+            return event_from_wire(payload)
+
+        monkeypatch.setattr(eventlog, "event_from_wire", counting)
+        events = list(itertools.islice(log.read(1, after_seq=9000), 100))
+        assert [e.seq for e in events] == list(range(9001, 9101))
+        assert len(parsed) <= 100 + 2 * math.ceil(math.log2(lines))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_events=st.integers(1, 40),
+           segment_bytes=st.integers(100, 1500),
+           junk=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                   st.sampled_from(["blank", "torn",
+                                                    "glued"]),
+                                   st.integers(1, 10 ** 6)),
+                         max_size=12))
+    def test_every_cursor_reads_the_suffix(self, n_events, segment_bytes,
+                                           junk):
+        """``read(job, a)`` is ``read(job)`` filtered to ``seq > a``.
+
+        For every cursor ``a``, on a log with blank, torn and glued lines
+        injected anywhere in its segments (a glued line is a torn record
+        with a whole one appended, as a log written without the torn-tail
+        cut can hold).
+        """
+        with tempfile.TemporaryDirectory() as root:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(eventlog, "SEGMENT_MAX_BYTES", segment_bytes)
+                log = EventLog(root)
+                for seq in range(n_events):
+                    log.append(TrialReport(trial_id=0, step=seq,
+                                           value=seq / 7, job_id=1, seq=seq))
+                log.close()
+            segments = sorted(Path(root, "job-1").glob("events-*.ndjson"))
+            records = [line for segment in segments
+                       for line in segment.read_bytes().splitlines()]
+            for where, kind, cut in junk:
+                segment = segments[where % len(segments)]
+                lines = segment.read_bytes().splitlines(keepends=True)
+                victim = records[cut % len(records)]
+                torn = victim[:1 + cut % (len(victim) - 1)]
+                bad = {"blank": b"  \n", "torn": torn + b"\n",
+                       "glued": torn + victim + b"\n"}[kind]
+                lines.insert(where % (len(lines) + 1), bad)
+                segment.write_bytes(b"".join(lines))
+            log = EventLog(root)
+            everything = list(log.read(1))
+            assert [e.seq for e in everything] == list(range(n_events))
+            for after in range(-1, n_events + 1):
+                assert list(log.read(1, after_seq=after)) == \
+                    [e for e in everything if e.seq > after]
 
 
 class TestDurability:
@@ -257,10 +340,34 @@ class TestDurability:
         assert log.last_event(1) == complete[-1]
         log.close()  # no terminal event closed the segment
 
-    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
-    def test_terminal_event_closes_the_segment(self, tmp_path, policy):
-        log = EventLog(str(tmp_path / policy), fsync=policy,
-                       fsync_interval=3600.0)
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        """A crash image cut at any byte of its last record reopens cleanly.
+
+        The next append truncates the torn record instead of gluing itself
+        onto it: the log reads back as the complete prefix plus the new
+        event, and the new event is the last one.
+        """
+        log = make_log(tmp_path)
+        log.open_job(1, "s")
+        publish_stream(log, 1, terminal=None)
+        log.close()
+        (segment,) = segment_paths(tmp_path)
+        image = segment.read_bytes()
+        start = image.rstrip(b"\n").rfind(b"\n") + 1  # the last record
+        for cut in range(start, len(image)):
+            segment.write_bytes(image[:cut])
+            reopened = make_log(tmp_path)
+            prefix = list(reopened.read(1))
+            assert [e.seq for e in prefix] == list(range(len(prefix)))
+            nxt = JobStateChanged(state="failed", terminal=True, job_id=1,
+                                  seq=reopened.last_seq(1) + 1)
+            reopened.append(nxt)
+            assert list(reopened.read(1)) == prefix + [nxt]
+            assert reopened.last_event(1) == nxt
+            reopened.close()
+
+    def test_terminal_event_closes_the_segment(self, tmp_path, hour_interval):
+        log = make_log(tmp_path)
         log.open_job(1, "s")
         bus = publish_stream(log, 1, terminal=None)
         handle = log._appenders[1].handle
@@ -269,7 +376,7 @@ class TestDurability:
                                     job_id=1))
         assert handle.closed and 1 not in log._appenders
         # Durable before the handle goes (nothing left for close() to do).
-        assert log.stats()["fsyncs"] == fsyncs + (policy != "never")
+        assert log.stats()["fsyncs"] == fsyncs + 1
         assert log.last_event(1).terminal
         log.close()
 
@@ -287,11 +394,11 @@ class TestDurability:
         assert [e.seq for e in log.read(1)] == list(range(last + 2))
         log.close()
 
-    def test_interval_clock_starts_when_the_job_opens(self, tmp_path):
+    def test_interval_clock_starts_when_the_job_opens(self, tmp_path,
+                                                      hour_interval):
         """A job's first append waits for the interval like any other; only
         its terminal event forces an fsync."""
-        log = EventLog(str(tmp_path / "events"), fsync="interval",
-                       fsync_interval=3600.0)
+        log = EventLog(str(tmp_path / "events"))
         for job_id in range(20):
             log.open_job(job_id, f"s{job_id}")
             log.append(JobStateChanged(state="queued", job_id=job_id, seq=0))
@@ -307,25 +414,19 @@ class TestDurability:
         assert log.stats()["fsyncs"] == 20
         log.close()
 
-    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
-    def test_fsync_policies_all_append(self, tmp_path, policy):
-        log = EventLog(str(tmp_path / policy), fsync=policy)
+    def test_rotation_flush_and_close_fsync(self, tmp_path, small_segments,
+                                            hour_interval):
+        """Besides the interval and the terminal event, rotation, flush()
+        and close() each fsync the open segments."""
+        log = make_log(tmp_path)
         log.open_job(1, "s")
-        publish_stream(log, 1, n_reports=2)
-        assert log.last_seq(1) >= 0
-        if policy == "always":
-            assert log.stats()["fsyncs"] >= log.stats()["appended"]
-        if policy == "never":
-            assert log.stats()["fsyncs"] == 0
+        publish_stream(log, 1, n_reports=10, terminal=None)
+        rotations = log.stats()["rotations"]
+        assert rotations > 0 and log.stats()["fsyncs"] == rotations
+        log.flush()
+        assert log.stats()["fsyncs"] == rotations + 1
         log.close()
-
-    def test_invalid_parameters_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync"):
-            EventLog(str(tmp_path / "a"), fsync="sometimes")
-        with pytest.raises(ValueError, match="segment_max_bytes"):
-            EventLog(str(tmp_path / "b"), segment_max_bytes=0)
-        with pytest.raises(ValueError, match="max_segments"):
-            EventLog(str(tmp_path / "c"), max_segments=0)
+        assert log.stats()["fsyncs"] == rotations + 2
 
     def test_create_false_requires_existing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):

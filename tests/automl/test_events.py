@@ -34,6 +34,7 @@ from repro.automl import (
 from repro.automl.eventlog import EventLog
 from repro.automl.events import (
     EventCursor,
+    EventWindow,
     _canonical_wire,
     event_from_wire,
     event_to_wire,
@@ -300,6 +301,65 @@ class TestCursorUnderConcurrentPublishers:
             assert cursor.get(timeout=0.0) is None
         finally:
             cursor.close()
+
+
+class TestWindowOpen:
+    """A window reads the history by cursor: the replay at its open only
+    sets the last delivered seq and the terminal's, and its ``wake`` runs
+    for live deliveries alone."""
+
+    @staticmethod
+    def _replayed(bus, job_id):
+        """``(seen, final)`` as a replaying callback subscriber ends up."""
+        state = {"seen": -1, "final": None}
+
+        def observe(event):
+            state["seen"] = event.seq
+            if isinstance(event, JobStateChanged) and event.terminal:
+                state["final"] = event.seq
+
+        bus.subscribe(job_id, callback=observe).close()
+        return state["seen"], state["final"]
+
+    @staticmethod
+    def _open(bus, job_id):
+        wakes = []
+        window = EventWindow(bus, job_id, None, live=True,
+                             wake=lambda: wakes.append(1))
+        return window, wakes
+
+    def test_open_over_a_full_history_makes_no_wake_call(self):
+        bus = EventBus()
+        for step in range(8192):
+            bus.publish(TrialReport(trial_id=0, step=step, job_id=1))
+        window, wakes = self._open(bus, 1)
+        assert wakes == []
+        assert (window.seen, window.final) == (8191, None)
+        bus.publish(JobStateChanged(state="completed", terminal=True,
+                                    job_id=1))
+        assert len(wakes) == 1
+        assert (window.seen, window.final) == (8192, 8192)
+        window.close()
+
+    @pytest.mark.parametrize("case", ["empty", "primed", "running", "shed",
+                                      "finished", "evicted"])
+    def test_seen_and_final_match_a_replaying_subscriber(self, case):
+        bus = EventBus(history_limit=4, retained_jobs=1)
+        if case == "primed":
+            bus.prime(1, 50)
+        if case not in ("empty", "primed"):
+            for step in range(10 if case == "shed" else 3):
+                bus.publish(TrialReport(trial_id=0, step=step, job_id=1))
+        if case in ("finished", "evicted"):
+            bus.publish(JobStateChanged(state="completed", terminal=True,
+                                        job_id=1))
+        if case == "evicted":
+            bus.publish(JobStateChanged(state="completed", terminal=True,
+                                        job_id=2))
+        window, wakes = self._open(bus, 1)
+        assert wakes == []
+        assert (window.seen, window.final) == self._replayed(bus, 1)
+        window.close()
 
 
 # ----------------------------------------------------------------------- #

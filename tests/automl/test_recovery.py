@@ -84,6 +84,12 @@ def objective(trial):
     return trial.params["x"]
 
 
+def chatty(trial):
+    for step in range(1000):
+        trial.report(float(step))
+    return trial.params["x"]
+
+
 def craft_crash(db_path, job_id, name, refs=None, status="running"):
     """Freeze the exact on-disk state a SIGKILL mid-job leaves behind.
 
@@ -318,6 +324,76 @@ class TestRecoverStateMachine:
             assert status["num_jobs"] == 1
             assert status["job_states"].get("failed") == 1
             assert status["event_log"]["jobs"] >= 1
+
+
+class TestLogAcrossRestarts:
+    def test_record_cut_mid_line_is_finalised_once(self, tmp_path):
+        """A crash image cut inside a record recovers once, not per restart.
+
+        The first ``recover()`` appends its terminal event after the last
+        complete record instead of gluing it to the torn one, so the log
+        ends with that terminal and a second restart finds the job over.
+        """
+        db = str(tmp_path / "svc.db")
+        with AntTuneServer(num_workers=2, backend="thread",
+                           storage=db) as first:
+            job_id = first.submit(make_space(), objective,
+                                  config=StudyConfig(n_trials=1),
+                                  study_name="torn")
+            first.wait(job_id, timeout=30.0)
+        (segment,) = (tmp_path / "svc.db.events" / f"job-{job_id}").glob(
+            "events-*.ndjson")
+        lines = segment.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 6
+        # The crash image: cut in the middle of seq 5's line, before the
+        # terminal status reached storage.
+        segment.write_bytes(b"".join(lines[:5])
+                            + lines[5][:len(lines[5]) // 2])
+        storage = StudyStorage(db)
+        storage.set_status("torn", "running")
+        storage.close()
+        with AntTuneServer(num_workers=2, backend="thread",
+                           storage=db) as second:
+            summary = second.recover()
+            assert [entry["job_id"] for entry in summary["finalised"]] == \
+                [job_id]
+            events = list(second.event_log.read(job_id))
+            assert [e.seq for e in events] == list(range(6))
+            assert events[-1].terminal and events[-1].state == "failed"
+            assert second.event_log.last_event(job_id) == events[-1]
+        with AntTuneServer(num_workers=2, backend="thread",
+                           storage=db) as third:
+            summary = third.recover()
+            assert summary["finalised"] == []
+            assert third.status(job_id)["recovered"] == "terminal"
+            assert third.status(job_id)["state"] == "failed"
+
+    def test_a_log_past_64_segments_replays_through_the_sdk(
+            self, tmp_path, monkeypatch):
+        """No segment is deleted: a restarted server replays seq 0..n.
+
+        With 4000-byte segments the job's log rotates more than 64 times,
+        and the SDK's ``subscribe()`` from the recovered server still
+        yields every seq once, from 0.
+        """
+        from repro.automl import eventlog
+        from repro.automl.remote import AntTuneClient, RemoteTuneServer
+
+        monkeypatch.setattr(eventlog, "SEGMENT_MAX_BYTES", 4000)
+        db = str(tmp_path / "svc.db")
+        with AntTuneServer(num_workers=2, backend="thread",
+                           storage=db) as first:
+            job_id = first.submit(make_space(), chatty,
+                                  config=StudyConfig(n_trials=3),
+                                  study_name="long")
+            first.wait(job_id, timeout=60.0)
+            assert first.event_log.stats()["rotations"] > 64
+            last = first.event_log.last_seq(job_id)
+        with RemoteTuneServer(num_workers=1, backend="thread", storage=db,
+                              recover=True) as remote:
+            client = AntTuneClient(remote.url, timeout=10.0)
+            seqs = [event.seq for event in client.subscribe(job_id)]
+        assert seqs == list(range(last + 1))
 
 
 # --------------------------------------------------------------------- #
