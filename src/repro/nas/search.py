@@ -147,8 +147,10 @@ class BudgetLimitedNAS:
         cfg = self.nas_config
         seq_len = self.model_config.max_seq_len
         supermodel = SupernetLightModel(self.model_config, cfg, rng=self._rng)
-        weight_optimizer = Adam(supermodel.weight_parameters(), lr=cfg.weights_lr)
-        arch_optimizer = Adam(supermodel.architecture_parameters(), lr=cfg.arch_lr)
+        weight_params = supermodel.weight_parameters()
+        arch_params = supermodel.architecture_parameters()
+        weight_optimizer = Adam(weight_params, lr=cfg.weights_lr)
+        arch_optimizer = Adam(arch_params, lr=cfg.arch_lr)
         result_losses: List[float] = []
         arch_losses: List[float] = []
 
@@ -166,7 +168,7 @@ class BudgetLimitedNAS:
                 loss = self._loss(logits, train_batch, teacher)
                 loss.backward()
                 if cfg.grad_clip > 0:
-                    clip_grad_norm(supermodel.weight_parameters(), cfg.grad_clip)
+                    clip_grad_norm(weight_params, cfg.grad_clip)
                 weight_optimizer.step()
                 result_losses.append(loss.item())
                 # --- architecture step on the validation split (Eq. 4) ------
@@ -183,7 +185,7 @@ class BudgetLimitedNAS:
                 total = val_loss + flops_term * cfg.lambda_flops
                 total.backward()
                 if cfg.grad_clip > 0:
-                    clip_grad_norm(supermodel.architecture_parameters(), cfg.grad_clip)
+                    clip_grad_norm(arch_params, cfg.grad_clip)
                 arch_optimizer.step()
                 arch_losses.append(total.item())
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,55 @@ def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng(0)
 
 
+def affine_backward(grad: np.ndarray, rows: np.ndarray, weight: Tensor,
+                    bias: Optional[Tensor], need_rows: bool) -> Optional[np.ndarray]:
+    """Backward of ``rows @ weight + bias``: accumulate the weight and bias
+    gradients and return the gradient wrt ``rows`` (``None`` unless
+    ``need_rows``).
+
+    These are the numpy calls of a matmul node followed by a bias-add node,
+    so the result is bitwise that of the op graph: the bias gets ``grad``
+    summed to its shape, and the matmul sees a C-contiguous copy of
+    ``grad``, as the add node's ``_accumulate`` hands it on.
+    """
+    if bias is not None:
+        if bias.requires_grad:
+            bias._accumulate(grad)
+        grad = np.ascontiguousarray(grad)
+    if weight.requires_grad:
+        if rows.ndim == 1:
+            weight._accumulate(np.outer(rows, grad))
+        else:
+            weight._accumulate(np.swapaxes(rows, -1, -2) @ grad)
+    return grad @ np.swapaxes(weight.data, -1, -2) if need_rows else None
+
+
+def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           rows: Optional[np.ndarray] = None,
+           fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Tensor:
+    """``rows @ weight + bias`` as one autograd node over ``x``, ``weight``
+    and ``bias``.
+
+    ``rows`` defaults to ``x.data``.  A layer that multiplies an array built
+    from ``x`` (a convolution's windows) passes it as ``rows`` together with
+    ``fold``, which maps the gradient wrt ``rows`` onto ``x``.
+    """
+    rows = x.data if rows is None else rows
+    data = rows @ weight.data
+    if bias is not None:
+        data = data + bias.data
+    out = x._make(data, (x, weight) if bias is None else (x, weight, bias), "affine")
+
+    def _backward() -> None:
+        grad = affine_backward(out.grad, rows, weight, bias, x.requires_grad)
+        if grad is not None:
+            x._accumulate(grad if fold is None else fold(grad))
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
 class Linear(Module):
     """Affine transform ``y = x W + b`` over the last dimension."""
 
@@ -44,10 +93,7 @@ class Linear(Module):
             self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.use_bias:
-            out = out + self.bias
-        return out
+        return affine(x, self.weight, self.bias if self.use_bias else None)
 
     def flops(self, batch_elements: int = 1) -> int:
         """Multiply-add count for ``batch_elements`` rows."""

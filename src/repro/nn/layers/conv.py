@@ -5,15 +5,22 @@ the layout used by the behaviour encoders and the NAS search space (Sec.
 III-D of the paper).  Convolutions use SAME padding with stride 1 so the
 output length always matches the input length, exactly as the paper requires
 for stacking searched layers.
+
+Each layer is one autograd node.  The forward zero-pads the input into a
+fresh array and reads its K shifted windows; the backward adds each
+window's gradient back into a zeroed padded buffer, offsets in descending
+order (the order in which a scatter-add over unfolded windows adds into a
+position), so every sum rounds the same way.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn import init as initializers
+from repro.nn.layers.basic import affine
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -26,6 +33,30 @@ def _same_padding(kernel_size: int, dilation: int) -> tuple[int, int]:
     left = span // 2
     right = span - left
     return left, right
+
+
+def _pad(data: np.ndarray, left: int, right: int) -> np.ndarray:
+    """``data`` (B, T, C) with ``left``/``right`` zero steps around its time axis."""
+    batch, length, channels = data.shape
+    padded = np.zeros((batch, left + length + right, channels))
+    padded[:, left:left + length] = data
+    return padded
+
+
+def _fold_windows(window_grads: List[np.ndarray], dilation: int, left: int,
+                  shape: Tuple[int, int, int]) -> np.ndarray:
+    """Gradient wrt the (B, T, C) input of its SAME-padded windows.
+
+    ``window_grads[k]`` is the gradient of the window slice at offset ``k``
+    (padded steps ``k * dilation`` onwards).  The padding's share is dropped.
+    """
+    batch, length, channels = shape
+    span = dilation * (len(window_grads) - 1)
+    grad = np.zeros((batch, length + span, channels))
+    for offset in reversed(range(len(window_grads))):
+        start = offset * dilation
+        grad[:, start:start + length] += window_grads[offset]
+    return grad[:, left:left + length]
 
 
 class Conv1d(Module):
@@ -50,7 +81,7 @@ class Conv1d(Module):
         self.dilation = dilation
         self.use_bias = bias
         # Weight layout: (kernel_size * in_channels, out_channels) so the
-        # convolution reduces to an unfold + matmul.
+        # convolution reduces to a window gather + matmul.
         self.weight = Parameter(
             initializers.kaiming_uniform((kernel_size * in_channels, out_channels), rng)
         )
@@ -61,27 +92,22 @@ class Conv1d(Module):
         batch, seq_len, channels = x.shape
         if channels != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {channels}")
+        bias = self.bias if self.use_bias else None
         if self.kernel_size == 1:
-            out = x @ self.weight
-            if self.use_bias:
-                out = out + self.bias
-            return out
-        left, right = _same_padding(self.kernel_size, self.dilation)
-        padded = x.pad1d(left, right, axis=1)
-        if self.dilation == 1:
-            windows = padded.unfold(self.kernel_size, step=1, axis=1)
-        else:
-            # Build dilated windows by unfolding with the dilated span and
-            # selecting every ``dilation``-th element inside each window.
-            span = self.dilation * (self.kernel_size - 1) + 1
-            windows = padded.unfold(span, step=1, axis=1)
-            windows = windows[:, :, :: self.dilation, :]
-        # windows: (B, T, K, C) -> (B, T, K*C)
-        flat = windows.reshape(batch, seq_len, self.kernel_size * self.in_channels)
-        out = flat @ self.weight
-        if self.use_bias:
-            out = out + self.bias
-        return out
+            return affine(x, self.weight, bias)
+        kernel, dilation = self.kernel_size, self.dilation
+        left, right = _same_padding(kernel, dilation)
+        # Row t of the operand is the K dilated steps of window t: (B, T, K*C).
+        taps = np.arange(seq_len)[:, None] + dilation * np.arange(kernel)
+        rows = np.take(_pad(x.data, left, right), taps.reshape(-1), axis=1)
+        rows = rows.reshape(batch, seq_len, kernel * channels)
+
+        def fold(grad: np.ndarray) -> np.ndarray:
+            windows = grad.reshape(batch, seq_len, kernel, channels)
+            return _fold_windows([windows[:, :, k] for k in range(kernel)], dilation,
+                                 left, x.shape)
+
+        return affine(x, self.weight, bias, rows, fold)
 
     def flops(self, seq_len: int) -> int:
         """FLOPs for one sequence of length ``seq_len`` (multiply-adds counted as 2)."""
@@ -105,10 +131,23 @@ class AvgPool1d(Module):
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        left, right = _same_padding(self.kernel_size, 1)
-        padded = x.pad1d(left, right, axis=1)
-        windows = padded.unfold(self.kernel_size, step=1, axis=1)
-        return windows.mean(axis=2)
+        kernel, length = self.kernel_size, x.shape[1]
+        left, right = _same_padding(kernel, 1)
+        padded = _pad(x.data, left, right)
+        # numpy's sum over a window axis starts from +0.0 (a window of -0.0
+        # sums to +0.0), so this one does too.
+        total = 0.0
+        for k in range(kernel):
+            total = total + padded[:, k:k + length]
+        out = x._make(total * (1.0 / kernel), (x,), "avg_pool1d")
+
+        def _backward() -> None:
+            share = out.grad * (1.0 / kernel)
+            x._accumulate(_fold_windows([share] * kernel, 1, left, x.shape))
+
+        if out.requires_grad:
+            out._backward = _backward
+        return out
 
     def flops(self, seq_len: int, channels: int) -> int:
         return self.kernel_size * channels * seq_len
@@ -127,10 +166,25 @@ class MaxPool1d(Module):
         self.kernel_size = kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        left, right = _same_padding(self.kernel_size, 1)
-        padded = x.pad1d(left, right, axis=1)
-        windows = padded.unfold(self.kernel_size, step=1, axis=1)
-        return windows.max(axis=2)
+        kernel, length = self.kernel_size, x.shape[1]
+        left, right = _same_padding(kernel, 1)
+        padded = _pad(x.data, left, right)
+        peak = padded[:, 0:length]
+        for k in range(1, kernel):
+            peak = np.maximum(peak, padded[:, k:k + length])
+        out = x._make(peak, (x,), "max_pool1d")
+
+        def _backward() -> None:
+            # Ties share the gradient equally; a padded zero that wins keeps
+            # its share, which is dropped with the padding.
+            wins = [padded[:, k:k + length] == out.data for k in range(kernel)]
+            counts = np.sum(wins, axis=0)
+            x._accumulate(_fold_windows([win * out.grad / counts for win in wins], 1,
+                                        left, x.shape))
+
+        if out.requires_grad:
+            out._backward = _backward
+        return out
 
     def flops(self, seq_len: int, channels: int) -> int:
         return self.kernel_size * channels * seq_len

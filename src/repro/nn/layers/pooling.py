@@ -6,9 +6,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.layers.basic import Linear
+from repro.nn.layers.basic import Linear, affine_backward
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, _sum_to_shape, softmax_backward, softmax_forward
 
 __all__ = ["MaskedMeanPool", "LastStepPool", "AttentiveLayerSum", "AttentiveTimePool"]
 
@@ -60,7 +60,9 @@ class AttentiveLayerSum(Module):
     """Sum the outputs of all searched layers attentively (Fig. 6, final output).
 
     Each layer output of shape (B, T, D) gets a learned scalar weight; the
-    weighted layer outputs are summed and then mean-pooled over time.
+    weighted layer outputs are summed and then mean-pooled over time.  The
+    whole sum is one autograd node over the layer outputs and the
+    ``score`` layer's parameters.
     """
 
     def __init__(self, dim: int, num_layers: int, rng: Optional[np.random.Generator] = None) -> None:
@@ -71,18 +73,46 @@ class AttentiveLayerSum(Module):
     def forward(self, layer_outputs: List[Tensor], mask: Optional[np.ndarray] = None) -> Tensor:
         if not layer_outputs:
             raise ValueError("AttentiveLayerSum requires at least one layer output")
+        weight, bias = self.score.weight, self.score.bias
         # (L, B, T, D) -> layer summaries (L, B, D) -> scores (L, B, 1)
-        stacked = stack(layer_outputs, axis=0)
-        summaries = stacked.mean(axis=2)
-        scores = self.score(summaries)  # (L, B, 1)
-        weights = scores.softmax(axis=0)
-        weighted = stacked * weights.reshape(len(layer_outputs), -1, 1, 1)
-        combined = weighted.sum(axis=0)  # (B, T, D)
+        stacked = np.stack([t.data for t in layer_outputs])
+        n_layers, _, steps, _ = stacked.shape
+        summaries = stacked.sum(axis=2) * (1.0 / steps)
+        weights, exp, den = softmax_forward(summaries @ weight.data + bias.data, 0)
+        scale = weights.reshape(n_layers, -1, 1, 1)
+        combined = (stacked * scale).sum(axis=0)  # (B, T, D)
         if mask is None:
-            return combined.mean(axis=1)
-        mask_arr = np.asarray(mask, dtype=np.float64)
-        counts = Tensor(np.maximum(mask_arr.sum(axis=1, keepdims=True), 1.0))
-        return (combined * Tensor(mask_arr[:, :, None])).sum(axis=1) / counts
+            data = combined.sum(axis=1) * (1.0 / steps)
+        else:
+            mask_arr = np.asarray(mask, dtype=np.float64)
+            valid = mask_arr[:, :, None]
+            counts = np.maximum(mask_arr.sum(axis=1, keepdims=True), 1.0)
+            data = (combined * valid).sum(axis=1) / counts
+        out = layer_outputs[0]._make(data, (*layer_outputs, weight, bias), "attentive_layer_sum")
+
+        def _backward() -> None:
+            # The op graph's arithmetic, node by node from the output back.
+            if mask is None:
+                d_combined = np.expand_dims(out.grad * (1.0 / steps), 1)
+            else:
+                d_combined = np.expand_dims(out.grad / counts, 1) * valid
+            d_combined = np.broadcast_to(d_combined, combined.shape)
+            d_scale = _sum_to_shape(d_combined * stacked, scale.shape)
+            d_scores = softmax_backward(d_scale.reshape(weights.shape), exp, den)
+            need_inputs = any(t.requires_grad for t in layer_outputs)
+            d_summaries = affine_backward(d_scores, summaries, weight, bias, need_inputs)
+            if not need_inputs:
+                return
+            # The stacked outputs: the weighted-sum term, then the mean term.
+            d_stacked = d_combined * scale + np.broadcast_to(
+                np.expand_dims(d_summaries * (1.0 / steps), 2), stacked.shape)
+            for i, tensor in enumerate(layer_outputs):
+                if tensor.requires_grad:
+                    tensor._accumulate(d_stacked[i])
+
+        if out.requires_grad:
+            out._backward = _backward
+        return out
 
     def flops(self, seq_len: int, dim: int) -> int:
         per_layer = seq_len * dim + self.score.flops(1)

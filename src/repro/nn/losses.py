@@ -21,6 +21,37 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _bce(logits: Tensor, targets: Tensor, weight: Optional[np.ndarray] = None) -> Tensor:
+    """Mean of ``(max(z, 0) - z*y + log(1 + exp(-|z|))) * weight`` as one autograd node."""
+    z = logits.data
+    positive = z > 0
+    sign = np.sign(z)
+    exp = np.exp(np.abs(z) * -1.0)
+    shifted = exp + 1.0
+    loss = z * positive - z * targets.data + np.log(shifted)
+    if weight is not None:
+        loss = loss * weight
+    out = logits._make(loss.sum() * (1.0 / loss.size), (logits, targets), "bce")
+
+    def _backward() -> None:
+        grad = np.ones_like(loss) * (out.grad * (1.0 / loss.size))
+        if weight is not None:
+            grad = grad * weight
+        # One term per branch of the relu/mul/abs op graph, in the order its
+        # backward reached the logits: exp(-|z|), then z*y, then relu.
+        if logits.requires_grad:
+            logits._accumulate(grad / shifted * exp * -1.0 * sign)
+            logits._accumulate(-grad * targets.data)
+        if targets.requires_grad:
+            targets._accumulate(-grad * z)
+        if logits.requires_grad:
+            logits._accumulate(grad * positive)
+
+    if out.requires_grad:
+        out._backward = _backward
+    return out
+
+
 def binary_cross_entropy_with_logits(logits: Tensor, targets, sample_weight: Optional[np.ndarray] = None) -> Tensor:
     """Numerically stable binary cross entropy on raw logits.
 
@@ -29,23 +60,18 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets, sample_weight: Opt
     targets_t = _as_tensor(targets)
     if targets_t.shape != logits.shape:
         targets_t = targets_t.reshape(logits.shape)
-    relu_z = logits.relu()
-    abs_z = logits.abs()
-    loss = relu_z - logits * targets_t + ((abs_z * -1.0).exp() + 1.0).log()
+    weight = None
     if sample_weight is not None:
-        loss = loss * Tensor(np.asarray(sample_weight, dtype=np.float64).reshape(loss.shape))
-    return loss.mean()
+        weight = np.asarray(sample_weight, dtype=np.float64).reshape(logits.shape)
+    return _bce(logits, targets_t, weight)
 
 
 def soft_binary_cross_entropy(logits: Tensor, soft_targets: Tensor) -> Tensor:
     """Binary cross entropy against soft (probability) targets, on raw logits."""
-    probs_target = soft_targets if isinstance(soft_targets, Tensor) else _as_tensor(soft_targets)
+    probs_target = _as_tensor(soft_targets)
     if probs_target.shape != logits.shape:
         probs_target = probs_target.reshape(logits.shape)
-    relu_z = logits.relu()
-    abs_z = logits.abs()
-    loss = relu_z - logits * probs_target + ((abs_z * -1.0).exp() + 1.0).log()
-    return loss.mean()
+    return _bce(logits, probs_target)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -94,8 +94,12 @@ class Adam(Optimizer):
             grad = p.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
-            m = self._m.get(id(p), np.zeros_like(p.data))
-            v = self._v.get(id(p), np.zeros_like(p.data))
+            m = self._m.get(id(p))
+            if m is None:
+                m = np.zeros_like(p.data)
+            v = self._v.get(id(p))
+            if v is None:
+                v = np.zeros_like(p.data)
             m = self.beta1 * m + (1 - self.beta1) * grad
             v = self.beta2 * v + (1 - self.beta2) * grad ** 2
             self._m[id(p)] = m

@@ -506,62 +506,19 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def pad1d(self, left: int, right: int, axis: int = 1) -> "Tensor":
-        """Zero-pad along ``axis`` (used by SAME-padded temporal convolutions)."""
-        pad_width = [(0, 0)] * self.data.ndim
-        pad_width[axis] = (left, right)
-        out = self._make(np.pad(self.data, pad_width), (self,), "pad1d")
-        slicer = [slice(None)] * self.data.ndim
-        slicer[axis] = slice(left, left + self.data.shape[axis])
-        slicer = tuple(slicer)
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad[slicer])
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
-    def unfold(self, size: int, step: int = 1, axis: int = 1) -> "Tensor":
-        """Extract sliding windows of ``size`` along ``axis``.
-
-        For an input of shape ``(..., L, ...)`` the output has shape
-        ``(..., L', size, ...)`` where ``L' = (L - size) // step + 1`` and the
-        window dimension is inserted right after ``axis``.
-        """
-        length = self.data.shape[axis]
-        n_windows = (length - size) // step + 1
-        idx = np.arange(size)[None, :] + step * np.arange(n_windows)[:, None]
-        gathered = np.take(self.data, idx.reshape(-1), axis=axis)
-        new_shape = list(self.data.shape)
-        new_shape[axis: axis + 1] = [n_windows, size]
-        out = self._make(gathered.reshape(new_shape), (self,), "unfold")
-
-        def _backward() -> None:
-            if not self.requires_grad:
-                return
-            grad = np.zeros_like(self.data)
-            flat = out.grad.reshape(
-                self.data.shape[:axis] + (n_windows * size,) + self.data.shape[axis + 1:]
-            )
-            # Scatter-add each window position back into the source.
-            moved_grad = np.moveaxis(grad, axis, 0)
-            moved_flat = np.moveaxis(flat, axis, 0)
-            np.add.at(moved_grad, idx.reshape(-1), moved_flat)
-            self._accumulate(np.moveaxis(moved_grad, 0, axis))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # Composite convenience ops
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self - Tensor(self.data.max(axis=axis, keepdims=True))
-        exp = shifted.exp()
-        return exp / exp.sum(axis=axis, keepdims=True)
+        probs, exp, den = softmax_forward(self.data, axis)
+        out = self._make(probs, (self,), "softmax")
+
+        def _backward() -> None:
+            self._accumulate(softmax_backward(out.grad, exp, den))
+
+        if out.requires_grad:
+            out._backward = _backward
+        return out
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self - Tensor(self.data.max(axis=axis, keepdims=True))
@@ -573,6 +530,24 @@ class Tensor:
         keep = Tensor((~mask).astype(np.float64))
         fill = Tensor(mask.astype(np.float64) * value)
         return self * keep + fill
+
+
+def softmax_forward(x: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(probs, exp, den)`` of a softmax over ``axis``: shift by the max, exp, sum, divide."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    den = exp.sum(axis=axis, keepdims=True)
+    return exp / den, exp, den
+
+
+def softmax_backward(grad: np.ndarray, exp: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Gradient wrt a softmax's input, given ``grad`` wrt its output.
+
+    This is the arithmetic of the sub/exp/sum/div op graph in the order its
+    backward ran: the quotient's two terms into ``exp``, then the shift.
+    """
+    d_exp = grad / den + np.broadcast_to(_sum_to_shape(-grad * exp / (den ** 2), den.shape),
+                                         exp.shape)
+    return d_exp * exp
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -78,7 +78,8 @@ def train_supervised(model: Module, dataset: ArrayDataset, config: TrainingConfi
     if teacher is not None:
         chunks = DataLoader(dataset, batch_size=_INFERENCE_BATCH, shuffle=False)
         soft_labels = np.concatenate([teacher.predict_logits(chunk) for chunk in chunks])
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    params = model.parameters()
+    optimizer = Adam(params, lr=config.learning_rate)
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
     history = TrainingHistory()
     model.train()
@@ -96,7 +97,7 @@ def train_supervised(model: Module, dataset: ArrayDataset, config: TrainingConfi
                 loss = binary_cross_entropy_with_logits(logits, batch.labels)
             loss.backward()
             if config.grad_clip > 0:
-                clip_grad_norm(model.parameters(), config.grad_clip)
+                clip_grad_norm(params, config.grad_clip)
             optimizer.step()
             losses.append(loss.item())
         history.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))

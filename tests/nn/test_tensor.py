@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
 
+import op_graph
+
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar-valued function of an array."""
@@ -136,15 +138,17 @@ class TestShapeOps:
         # Row 1 is used twice, rows 0 and 3 once, row 2 never.
         np.testing.assert_allclose(weight.grad[:, 0], [1.0, 2.0, 0.0, 1.0])
 
+    # pad1d and unfold live on in the op-graph references of the fused layers.
     def test_pad_and_unfold_shapes(self):
         t = Tensor(np.arange(12, dtype=float).reshape(1, 6, 2))
-        padded = t.pad1d(1, 1, axis=1)
+        padded = op_graph.pad1d(t, 1, 1, axis=1)
         assert padded.shape == (1, 8, 2)
-        windows = padded.unfold(3, step=1, axis=1)
+        windows = op_graph.unfold(padded, 3, step=1, axis=1)
         assert windows.shape == (1, 6, 3, 2)
 
     def test_unfold_grad(self):
-        check_gradient(lambda t: t.unfold(3, step=1, axis=1).mean(axis=2), shape=(2, 6, 3))
+        check_gradient(lambda t: op_graph.unfold(t, 3, step=1, axis=1).mean(axis=2),
+                       shape=(2, 6, 3))
 
     def test_concatenate_and_stack_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
