@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.automl import (
     RACOS,
-    AntTuneClient,
     AntTuneServer,
     BayesianOptimization,
     EvolutionarySearch,
@@ -67,16 +66,17 @@ def main() -> None:
         "Evolutionary": EvolutionarySearch(rng=np.random.default_rng(0)),
         "Bayesian (GP + EI)": BayesianOptimization(n_initial=3, rng=np.random.default_rng(0)),
     }
-    client = AntTuneClient(server=AntTuneServer(num_workers=args.workers))
     print(f"Tuning the Fig. 3 search space with 8 trials per optimiser "
           f"({args.workers} worker(s)):\n")
-    for name, algorithm in algorithms.items():
-        best = client.tune(space, objective, algorithm=algorithm,
-                           config=StudyConfig(maximize=True, n_trials=8, max_retries=1),
-                           pruner=MedianPruner(), rng=np.random.default_rng(1))
-        print(f"{name:20s} best validation AUC = {best.value:.3f}  params = {best.params}")
+    with AntTuneServer(num_workers=args.workers) as server:
+        for name, algorithm in algorithms.items():
+            best = server.wait(server.submit(
+                space, objective, algorithm=algorithm,
+                config=StudyConfig(maximize=True, n_trials=8, max_retries=1),
+                pruner=MedianPruner(), rng=np.random.default_rng(1)))
+            print(f"{name:20s} best validation AUC = {best.value:.3f}  params = {best.params}")
 
-    status = client.server.status(len(algorithms) - 1)
+        status = server.status(len(algorithms) - 1)
     print(f"\nLast job status from the tune server: {status}")
 
 

@@ -39,14 +39,14 @@ from repro.automl.scheduler import (
     make_scheduler,
 )
 from repro.automl.search_space import Choice, IntUniform, LogUniform, ParamSpec, SearchSpace, Uniform
-from repro.automl.server import AntTuneClient, AntTuneServer, JobState, TuneJob
+from repro.automl.server import AntTuneServer, JobState, TuneJob
 from repro.automl.storage import StudyStorage
 from repro.automl.transport import TelemetryTransport
 from repro.automl.study import Study, StudyConfig
 from repro.automl.trial import PrunedTrial, Trial, TrialCancelled, TrialState
 
 # Imported last: the remote layer sits on top of every module above.
-from repro.automl.remote import RemoteTuneClient, RemoteTuneServer  # noqa: E402
+from repro.automl.remote import AntTuneClient, RemoteTuneServer  # noqa: E402
 
 __all__ = [
     "SearchSpace",
@@ -97,7 +97,6 @@ __all__ = [
     "AntTuneServer",
     "AntTuneClient",
     "RemoteTuneServer",
-    "RemoteTuneClient",
     "JobState",
     "TuneJob",
     "pre_designed_model_space",

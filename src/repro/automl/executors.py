@@ -5,8 +5,7 @@ distributed executors and collects the reported metrics.  This module provides
 the in-process equivalent of that pool:
 
 * :class:`SynchronousExecutor` runs each trial inline on the calling thread —
-  the ``n_workers=1`` case, byte-for-byte identical to the historical
-  sequential study loop.
+  the ``n_workers=1`` case, which ``Study.optimize`` uses by default.
 * :class:`ThreadPoolTrialExecutor` runs up to ``n_workers`` trials
   concurrently on a :class:`concurrent.futures.ThreadPoolExecutor`.  Its
   stragglers are killed cooperatively (their late results discarded), and it
@@ -120,7 +119,7 @@ def execute_trial(objective: Objective, trial: Trial,
     """Run ``objective`` on ``trial`` and record outcome, duration and errors.
 
     This is the single place where a trial's lifecycle transitions happen, for
-    both the sequential and the pooled path (it also runs worker-side inside
+    the inline and the pooled executors (it also runs worker-side inside
     process workers).  A kill signal observed while the objective ran maps to
     the matching terminal state: deadline kills to ``TIMED_OUT``, prune kills
     to ``PRUNED``, job cancellation to ``CANCELLED``.  If the canceller's
@@ -337,8 +336,7 @@ class SynchronousExecutor(TrialExecutor):
     """Runs every trial inline on the calling thread (``n_workers=1``).
 
     There is no concurrency to stream telemetry into: pruning happens
-    cooperatively inside the objective (``trial.should_prune()``), exactly as
-    in the historical sequential loop.
+    cooperatively inside the objective (``trial.should_prune()``).
     """
 
     n_workers = 1

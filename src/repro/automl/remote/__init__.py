@@ -40,7 +40,7 @@ from repro.automl.remote.api import (
     parse_submit,
     trial_from_record,
 )
-from repro.automl.remote.client import AntTuneClient, RemoteTuneClient
+from repro.automl.remote.client import AntTuneClient
 from repro.automl.remote.http_server import RemoteTuneServer
 from repro.automl.remote.router import (
     HashRing,
@@ -58,7 +58,6 @@ __all__ = [
     "parse_submit",
     "trial_from_record",
     "AntTuneClient",
-    "RemoteTuneClient",
     "RemoteTuneServer",
     "HashRing",
     "RemoteRouterServer",

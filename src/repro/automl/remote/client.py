@@ -1,7 +1,7 @@
 """The SDK-side client of the remote tune service.
 
 :class:`AntTuneClient` mirrors the in-process API
-(:class:`repro.automl.server.AntTuneClient`) over HTTP/JSON: ``submit`` /
+(:class:`repro.automl.server.AntTuneServer`) over HTTP/JSON: ``submit`` /
 ``poll`` / ``wait`` / ``cancel`` / ``subscribe`` keep their shapes, with two
 wire-imposed differences:
 
@@ -63,7 +63,7 @@ from repro.automl.study import StudyConfig
 from repro.automl.trial import Trial
 from repro.exceptions import TrialError
 
-__all__ = ["AntTuneClient", "RemoteTuneClient"]
+__all__ = ["AntTuneClient"]
 
 # Socket-level read timeout on event streams; the server heartbeats every
 # few seconds, so a silent stream this long means the connection is dead.
@@ -468,8 +468,3 @@ class AntTuneClient:
     def tune(self, space: str, objective: str, **kwargs: object) -> Trial:
         """Submit a job, wait for it and return the best trial (convenience)."""
         return self.wait(self.submit(space, objective, **kwargs))  # type: ignore[arg-type]
-
-
-# The in-process SDK class is also named AntTuneClient; this alias lets code
-# hold both without renaming imports.
-RemoteTuneClient = AntTuneClient

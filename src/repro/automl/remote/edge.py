@@ -58,6 +58,13 @@ through a small duck-typed protocol::
     app.heartbeat_seconds               # idle stream heartbeat period
     app.stream_send_timeout             # no-progress disconnect grace
 
+    parker.timeout_seconds              # how long the wait may stay parked
+    parker.register(fire)               # fire() once at the job's terminal
+                                        #    event (at once if already ended)
+    parker.payload()                    # the answer, on a worker thread,
+                                        #    after the event or the timer
+    parker.cancel()                     # drop the registration
+
     feed.read(after_seq, max_bytes)     # loop thread, must not block
                                         # -> (frames, last_seq, end) | None
     feed.backlog(after_seq, max_bytes)  # backlog thread, after read said
@@ -961,14 +968,14 @@ class AsyncHTTPEdge:
         fired = threading.Event()
         serial = request.serial
 
-        def finish(payload_fn: Callable[[], object]) -> None:
+        def finish() -> None:
             if fired.is_set():
                 return
             fired.set()
 
             def work() -> None:
                 try:
-                    payload = payload_fn()
+                    payload = parker.payload()
                     status = 200
                 except TrialError as exc:
                     message = str(exc)
@@ -982,22 +989,20 @@ class AsyncHTTPEdge:
                 self._respond(conn, serial, status, _json_bytes(payload),
                               "application/json", close, request_id)
                 record(status)
-                self._run_cleanup(getattr(parker, "cancel", lambda: None))
+                self._run_cleanup(parker.cancel)
 
             self._pool.submit(work)
 
-        timer = self.schedule(
-            float(getattr(parker, "timeout_seconds", 10.0)),
-            lambda: finish(parker.timeout_payload))
+        timer = self.schedule(parker.timeout_seconds, finish)
 
         def on_teardown() -> None:
             fired.set()
             self.cancel_timer(timer)
-            self._run_cleanup(getattr(parker, "cancel", lambda: None))
+            self._run_cleanup(parker.cancel)
 
         self._attach_cleanup(conn, on_teardown)
         # Registered last: an already-terminal job fires synchronously here.
-        parker.register(lambda: finish(parker.terminal_payload))
+        parker.register(finish)
 
     # -- teardown --------------------------------------------------------- #
     def _teardown(self, conn: _Connection) -> None:

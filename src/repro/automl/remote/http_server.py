@@ -112,77 +112,64 @@ STREAM_SEND_TIMEOUT = 30.0
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _wait_payload(tune: AntTuneServer, job_id: int,
-                  timeout: float) -> Dict[str, object]:
-    """The ``/wait`` response body after blocking up to ``timeout`` seconds.
+def _wait_payload(tune: AntTuneServer, job_id: int) -> Dict[str, object]:
+    """The ``/wait`` response body as of now; never blocks.
 
-    Raises TrialError (propagated as 404) only for unknown job ids; a
+    ``done`` is ``status()["finished"]``: the job's terminal event is on its
+    stream, so ``wait(job_id, timeout=0)`` answers the outcome.  Raises
+    TrialError (propagated as 404) only for unknown job ids; a
     finished-but-failed job is a *successful* wait whose payload carries the
     error, and a still-running one answers ``{"done": false}``.
     """
+    status = tune.status(job_id)  # raises 404 for unknown ids
+    if not status["finished"]:
+        return {"done": False, "state": status["state"]}
     try:
-        best = tune.wait(job_id, timeout=timeout)
+        best = tune.wait(job_id, timeout=0)
     except TrialError as exc:
-        status = tune.status(job_id)  # raises 404 for unknown ids
-        if not status["finished"]:
-            return {"done": False, "state": status["state"]}
-        if status["state"] == "completed":
-            # The terminal event publishes *before* the job's done-flag
-            # flips, so a zero/short wait can lose that race while status
-            # already reads finished; a short bounded re-wait bridges it.
-            try:
-                best = tune.wait(job_id, timeout=5.0)
-            except TrialError as exc2:
-                return {"done": True, "state": status["state"],
-                        "error": status["error"] or str(exc2), "best": None}
-            return {"done": True, "state": "completed", "error": None,
-                    "best": best.as_record()}
         return {"done": True, "state": status["state"],
                 "error": status["error"] or str(exc), "best": None}
-    return {"done": True, "state": "completed", "error": None,
+    return {"done": True, "state": status["state"], "error": None,
             "best": best.as_record()}
 
 
 class _WaitParker:
     """A parked ``/wait``: the continuation the async edge completes.
 
-    ``register`` subscribes the fire callback to the job's terminal event on
-    the bus — an already-terminal job fires synchronously during
-    registration (bus replay), so the park never misses a finish that raced
-    the initial "not done yet" check.
+    Both apps build one from the wait's timeout, a ``subscribe(fire) ->
+    cancel`` callable that calls ``fire`` once at the job's terminal event
+    (at once, during the call, for a job already terminal, so the park never
+    misses a finish that raced the first "not done yet" answer) and the
+    ``payload()`` that answers, whichever of the event and the timer comes
+    first.
     """
 
-    def __init__(self, tune: AntTuneServer, job_id: int,
-                 timeout: float) -> None:
-        self._tune = tune
-        self.job_id = job_id
+    def __init__(self, timeout: float,
+                 subscribe: Callable[[Callable[[], None]], Callable[[], None]],
+                 payload: Callable[[], Dict[str, object]]) -> None:
         self.timeout_seconds = timeout
-        self._sub = None
+        self.payload = payload
+        self._subscribe = subscribe
+        self._cancel: Optional[Callable[[], None]] = None
 
     def register(self, fire: Callable[[], None]) -> None:
-        self._sub = self._tune.on_terminal(self.job_id, fire)
+        self._cancel = self._subscribe(fire)
 
     def cancel(self) -> None:
-        sub, self._sub = self._sub, None
-        if sub is not None:
-            sub.close()
-
-    def terminal_payload(self) -> Dict[str, object]:
-        # The terminal event publishes *before* the job's done-flag is set;
-        # a short bounded wait bridges that ordering without busy-waiting.
-        return _wait_payload(self._tune, self.job_id, 10.0)
-
-    def timeout_payload(self) -> Dict[str, object]:
-        return _wait_payload(self._tune, self.job_id, 0.0)
+        cancel, self._cancel = self._cancel, None
+        if cancel is not None:
+            cancel()
 
 
 class _EndpointApp:
     """What the tune server's and the router's endpoint cores share.
 
     The edge hooks of the app protocol (see :mod:`repro.automl.remote.edge`),
-    the one ``/v1`` route table and ``/wait`` argument parsing; a subclass
-    adds the control, wait and stream handlers for its own service.
-    ``remote`` is the :class:`_HTTPFront` serving the app.
+    the one ``/v1`` route table and ``/wait``; a subclass adds the control
+    and stream handlers for its own service, and the two wait hooks
+    ``_wait_now(job_id)`` (the ``/wait`` body as of now, never blocking)
+    and ``_on_terminal(job_id, fire) -> cancel``.  ``remote`` is the
+    :class:`_HTTPFront` serving the app.
     """
 
     def __init__(self, remote: "_HTTPFront") -> None:
@@ -247,11 +234,23 @@ class _EndpointApp:
         return None
 
     # -- wait ------------------------------------------------------------ #
-    def _wait_args(self, args: object,
-                   params: Dict[str, str]) -> Tuple[int, float]:
+    def wait_begin(self, args: object, params: Dict[str, str],
+                   request_id: Optional[str]):
+        """``/wait``: answer now, or park a continuation.
+
+        A job that is already done (or a zero timeout) answers immediately;
+        otherwise no thread blocks: the edge holds the connection, and the
+        job's terminal event or a loop timer completes it.
+        """
         job_id = _job_id_segment(args)
-        timeout = min(_float_param(params, "timeout", 10.0), MAX_WAIT_SECONDS)
-        return job_id, max(0.0, timeout)
+        timeout = max(0.0, min(_float_param(params, "timeout", 10.0),
+                               MAX_WAIT_SECONDS))
+        payload = self._wait_now(job_id)
+        if payload["done"] or timeout <= 0.0:
+            return ("reply", payload)
+        return ("park", _WaitParker(
+            timeout, lambda fire: self._on_terminal(job_id, fire),
+            lambda: self._wait_now(job_id)))
 
 
 class _TuneApp(_EndpointApp):
@@ -368,19 +367,12 @@ class _TuneApp(_EndpointApp):
         return json_reply(200, {"ok": True, "kill": kill})
 
     # -- wait ------------------------------------------------------------ #
-    def wait_begin(self, args: object, params: Dict[str, str],
-                   request_id: Optional[str]):
-        """``/wait``: answer now, or park a continuation.
+    def _wait_now(self, job_id: int) -> Dict[str, object]:
+        return _wait_payload(self.remote.tune_server, job_id)
 
-        A job that is already done (or a zero timeout) answers immediately;
-        otherwise no thread blocks — the edge holds the connection and the
-        job's terminal bus event (or a loop timer) completes it.
-        """
-        job_id, timeout = self._wait_args(args, params)
-        payload = _wait_payload(self.remote.tune_server, job_id, 0.0)
-        if payload["done"] or timeout <= 0.0:
-            return ("reply", payload)
-        return ("park", _WaitParker(self.remote.tune_server, job_id, timeout))
+    def _on_terminal(self, job_id: int,
+                     fire: Callable[[], None]) -> Callable[[], None]:
+        return self.remote.tune_server.on_terminal(job_id, fire).close
 
     # -- event streams --------------------------------------------------- #
     def stream_begin(self, args: object, params: Dict[str, str],

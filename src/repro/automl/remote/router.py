@@ -43,7 +43,6 @@ import hashlib
 import json
 import threading
 import uuid
-from time import monotonic
 from typing import (
     Callable,
     Dict,
@@ -173,7 +172,7 @@ class _RouterJob:
     index == router seq, so a stream is a cursor into it and gaplessness is
     structural; every streaming connection shares the same line objects
     (serialise once, fan out N times).  ``listeners`` are invoked under
-    ``cond`` at append time: the edge streams' doorbells and parked waits.
+    ``lock`` at append time: the edge streams' doorbells and parked waits.
     ``incarnation`` counts (re)attachments to a backend; a relay thread
     carries the incarnation it was started under and discards everything
     once the numbers diverge.
@@ -189,7 +188,7 @@ class _RouterJob:
         self.body = body  # the original wire body, for migration resubmits
         self.backend_url = backend_url
         self.backend_job_id = backend_job_id
-        self.cond = threading.Condition()
+        self.lock = threading.RLock()
         self.journal_bytes: List[bytes] = []
         self.listeners: List[Callable[[bytes, int, bool], None]] = []
         self.state = "queued"
@@ -202,6 +201,20 @@ class _RouterJob:
         # Highest backend-side seq relayed for the *current* incarnation:
         # the reattach resume point after a backend restart.
         self.backend_last_seq = -1
+
+    def listen(self, listener: Callable[[bytes, int, bool], None]
+               ) -> Callable[[], None]:
+        """Add a journal listener; returns the function that removes it."""
+        with self.lock:
+            self.listeners.append(listener)
+
+        def remove() -> None:
+            with self.lock:
+                try:
+                    self.listeners.remove(listener)
+                except ValueError:
+                    pass
+        return remove
 
 
 class TuneRouter:
@@ -262,12 +275,6 @@ class TuneRouter:
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
             self._health_thread = None
-        # Wake any caller blocked in wait() so shutdown is prompt.
-        with self._jobs_lock:
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            with job.cond:
-                job.cond.notify_all()
 
     def __enter__(self) -> "TuneRouter":
         return self.start()
@@ -384,7 +391,7 @@ class TuneRouter:
     def _start_relay(self, job: _RouterJob, backend: _Backend,
                      backend_job_id: int, incarnation: int,
                      last_seq: int) -> None:
-        with job.cond:
+        with job.lock:
             job.relay_alive = True
         thread = threading.Thread(
             target=self._relay,
@@ -409,7 +416,7 @@ class TuneRouter:
                                                     last_seq=last_seq):
                 state_change = wire["type"] == "JobStateChanged"
                 terminal = state_change and bool(wire["terminal"])
-                with job.cond:
+                with job.lock:
                     if job.incarnation != incarnation or job.terminal:
                         return  # stale relay (migrated away, or finished)
                     job.backend_last_seq = wire["seq"]
@@ -425,7 +432,7 @@ class TuneRouter:
         except Exception:  # noqa: BLE001 - the stream is gone; heal below
             pass
         finally:
-            with job.cond:
+            with job.lock:
                 stale = job.incarnation != incarnation
                 if not stale:
                     job.relay_alive = False
@@ -469,7 +476,7 @@ class TuneRouter:
         for job in jobs:
             backend = self._backends.get(job.backend_url)
             backend_down = backend is None or not backend.healthy
-            with job.cond:
+            with job.lock:
                 needs = (not job.terminal and not job.migrating
                          and (not job.relay_alive or backend_down))
             if needs:
@@ -477,7 +484,7 @@ class TuneRouter:
 
     def _heal_job(self, job: _RouterJob) -> None:
         """Reattach a job to its (returned) backend, or migrate it away."""
-        with job.cond:
+        with job.lock:
             if job.terminal or job.migrating or self._stop.is_set():
                 return
             job.migrating = True
@@ -507,7 +514,7 @@ class TuneRouter:
                     job, "failed",
                     f"migration off {old_url} refused by {target.url}: {exc}")
                 return
-            with job.cond:
+            with job.lock:
                 if job.terminal:
                     return
                 job.backend_url = target.url
@@ -521,7 +528,7 @@ class TuneRouter:
             self._start_relay(job, target, job.backend_job_id,
                               incarnation, last_seq=-1)
         finally:
-            with job.cond:
+            with job.lock:
                 job.migrating = False
 
     def _reattach(self, job: _RouterJob, backend: _Backend) -> bool:
@@ -537,7 +544,7 @@ class TuneRouter:
             return False
         if status.get("study_name") != job.study_name:
             return False  # a restarted (unrecovered) backend reused the id
-        with job.cond:
+        with job.lock:
             if job.terminal:
                 return True
             job.incarnation += 1
@@ -550,11 +557,10 @@ class TuneRouter:
 
     @staticmethod
     def _append_line(job: _RouterJob, data: bytes, terminal: bool) -> None:
-        """Append one NDJSON line to the journal (caller holds ``job.cond``).
+        """Append one NDJSON line to the journal (caller holds ``job.lock``).
 
         The line is the buffer every streaming connection shares; it is
-        pushed to the edge's listeners, and callers blocked in
-        :meth:`TuneRouter.wait` wake.
+        pushed to the job's listeners: the edge's streams and parked waits.
         """
         seq = len(job.journal_bytes)
         job.journal_bytes.append(data)
@@ -563,12 +569,11 @@ class TuneRouter:
                 listener(data, seq, terminal)
             except Exception:  # noqa: BLE001 - one sink must not stop relay
                 pass
-        job.cond.notify_all()
 
     def _finish_locally(self, job: _RouterJob, state: str,
                         error: Optional[str]) -> None:
         """Terminate a job in the journal when no backend can anymore."""
-        with job.cond:
+        with job.lock:
             if job.terminal:
                 return
             job.incarnation += 1  # strand any live relay
@@ -600,7 +605,7 @@ class TuneRouter:
         migrations even when the backend is gone.
         """
         job = self._job(job_id)
-        with job.cond:
+        with job.lock:
             own: Dict[str, object] = {
                 "job_id": job.job_id, "state": job.state, "error": job.error,
                 "finished": job.terminal, "study_name": job.study_name,
@@ -632,24 +637,20 @@ class TuneRouter:
             ids = sorted(self._jobs)
         return [self.status(job_id) for job_id in ids]
 
-    def wait(self, job_id: int,
-             timeout: Optional[float] = None) -> Dict[str, object]:
-        """Bounded wait on the journal; the SDK polls until ``done``.
+    def wait(self, job_id: int) -> Dict[str, object]:
+        """The job's ``/wait`` answer as of now; never blocks.
 
-        Returns the same wire shape as a backend's ``/wait``: the ``best``
-        record is proxied from the current backend when reachable, else
+        Returns the same wire shape as a backend's ``/wait``.  A job that is
+        not terminal answers ``{"done": false, "state": ...}``.  A terminal
+        one answers from its current backend's ``/wait?timeout=0`` (the
+        backend's done flag is set before its stream carries the terminal
+        event, so that answer is final), else with the ``best`` record
         computed from the journal's ``TrialFinished`` records (so a client
         still gets its answer when the last backend died *after* the
         terminal event was relayed).
         """
         job = self._job(job_id)
-        deadline = monotonic() + (timeout if timeout is not None else 10.0)
-        with job.cond:
-            while not job.terminal and not self._stop.is_set():
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    break
-                job.cond.wait(remaining)
+        with job.lock:
             if not job.terminal:
                 return {"done": False, "state": job.state}
             state, error = job.state, job.error
@@ -668,6 +669,32 @@ class TuneRouter:
         return {"done": True, "state": state, "error": error,
                 "best": self._best_from_journal(job)}
 
+    def on_terminal(self, job_id: int,
+                    fire: Callable[[], None]) -> Callable[[], None]:
+        """Call ``fire`` once the job's journal takes its terminal line.
+
+        The continuation behind a parked ``/wait`` on the router.  A job
+        already terminal fires at once, during the call, so a finish racing
+        the registration is never lost.
+
+        Returns:
+            The function that cancels the registration.
+
+        Raises:
+            TrialError: unknown job id.
+        """
+        job = self._job(job_id)
+
+        def listen(data: bytes, seq: int, terminal: bool) -> None:
+            if terminal:
+                fire()
+
+        with job.lock:  # the check and the registration are one step
+            if not job.terminal:
+                return job.listen(listen)
+        fire()
+        return lambda: None
+
     def _best_from_journal(self, job: _RouterJob) -> Optional[Dict[str, object]]:
         """Best completed trial record in the journal (last write per id).
 
@@ -679,7 +706,7 @@ class TuneRouter:
         if isinstance(config, dict):
             maximize = bool(config.get("maximize", True))
         records: Dict[int, Dict[str, object]] = {}
-        with job.cond:
+        with job.lock:
             lines = list(job.journal_bytes)
         for line in lines:
             wire = json.loads(line)
@@ -704,7 +731,7 @@ class TuneRouter:
         migration machinery resurrecting the job elsewhere.
         """
         job = self._job(job_id)
-        with job.cond:
+        with job.lock:
             if job.terminal:
                 return False
             backend = self._backends.get(job.backend_url)
@@ -727,7 +754,7 @@ class TuneRouter:
         states: Dict[str, int] = {}
         migrations = 0
         for job in jobs:
-            with job.cond:
+            with job.lock:
                 states[job.state] = states.get(job.state, 0) + 1
                 migrations += job.migrations
         return {
@@ -758,55 +785,6 @@ class TuneRouter:
                 continue
             parts.append(f"# backend {backend.url}\n{text}")
         return "".join(p if p.endswith("\n") else p + "\n" for p in parts)
-
-
-class _RouterWaitParker:
-    """A parked router ``/wait``: completed by the journal's terminal append.
-
-    The continuation is a journal listener (fired under ``job.cond`` by
-    :meth:`TuneRouter._append_line`); a job that went terminal before
-    registration fires synchronously, so a finish racing the park is never
-    lost.
-    """
-
-    def __init__(self, router: TuneRouter, job: _RouterJob,
-                 timeout: float) -> None:
-        self._router = router
-        self._job = job
-        self.timeout_seconds = timeout
-        self._listener = None
-
-    def register(self, fire: Callable[[], None]) -> None:
-        job = self._job
-
-        def listen(data: bytes, seq: int, terminal: bool) -> None:
-            if terminal:
-                fire()
-
-        with job.cond:
-            already = job.terminal
-            if not already:
-                job.listeners.append(listen)
-                self._listener = listen
-        if already:
-            fire()
-
-    def cancel(self) -> None:
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            with self._job.cond:
-                try:
-                    self._job.listeners.remove(listener)
-                except ValueError:
-                    pass
-
-    def terminal_payload(self) -> Dict[str, object]:
-        # The journal is already terminal; the bounded wait only covers the
-        # backend's best-trial proxy call inside router.wait().
-        return self._router.wait(self._job.job_id, timeout=5.0)
-
-    def timeout_payload(self) -> Dict[str, object]:
-        return self._router.wait(self._job.job_id, timeout=0.0)
 
 
 class _RouterApp(_http._EndpointApp):
@@ -873,16 +851,12 @@ class _RouterApp(_http._EndpointApp):
         return json_reply(200, answer)
 
     # -- wait ------------------------------------------------------------ #
-    def wait_begin(self, args: object, params: Dict[str, str],
-                   request_id: Optional[str]):
-        job_id, timeout = self._wait_args(args, params)
-        router = self.remote.router
-        job = router._job(job_id)  # 404 for unknown ids
-        with job.cond:
-            terminal = job.terminal
-        if terminal or timeout <= 0.0:
-            return ("reply", router.wait(job_id, timeout=0.0))
-        return ("park", _RouterWaitParker(router, job, timeout))
+    def _wait_now(self, job_id: int) -> Dict[str, object]:
+        return self.remote.router.wait(job_id)
+
+    def _on_terminal(self, job_id: int,
+                     fire: Callable[[], None]) -> Callable[[], None]:
+        return self.remote.router.on_terminal(job_id, fire)
 
     # -- event streams --------------------------------------------------- #
     def stream_begin(self, args: object, params: Dict[str, str],
@@ -891,21 +865,7 @@ class _RouterApp(_http._EndpointApp):
         job_id = _job_id_segment(args)
         last_seq = _int_param(params, "last_seq", -1)
         job = self.remote.router._job(job_id)
-
-        def listen(data: bytes, seq: int, terminal: bool) -> None:
-            sink.wake()
-
-        with job.cond:
-            job.listeners.append(listen)
-
-        def remove() -> None:
-            with job.cond:
-                try:
-                    job.listeners.remove(listen)
-                except ValueError:
-                    pass
-
-        sink.on_close(remove)
+        sink.on_close(job.listen(lambda data, seq, terminal: sink.wake()))
         sink.start(_JournalFeed(job), last_seq)
 
 
@@ -923,7 +883,7 @@ class _JournalFeed:
         job = self._job
         frames: List[bytes] = []
         size = 0
-        with job.cond:
+        with job.lock:
             lines = job.journal_bytes
             cursor = max(after_seq, -1)
             while cursor + 1 < len(lines) and size < max_bytes:

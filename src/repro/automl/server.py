@@ -19,8 +19,6 @@ service:
   intermediate values streamed live from in-flight trials) and :meth:`wait`
   to block for a result; :meth:`cancel` stops a queued or running job at
   once, leaving it in the terminal ``CANCELLED`` state.
-  :meth:`AntTuneClient.tune` keeps the blocking submit-and-wait convenience
-  API on top.
 * Every job also exposes a push stream: the whole trial/job lifecycle is
   published as typed events (:mod:`repro.automl.events`) on one ordered bus,
   and :meth:`subscribe` follows it — iterator or callback form — ending with
@@ -51,7 +49,6 @@ import enum
 import itertools
 import threading
 import uuid
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -84,7 +81,7 @@ from repro.automl.trial import KILL_PREEMPTED, Trial, TrialState
 from repro.exceptions import TrialError
 from repro.utils.rng import new_rng
 
-__all__ = ["JobState", "TuneJob", "AntTuneServer", "AntTuneClient"]
+__all__ = ["JobState", "TuneJob", "AntTuneServer"]
 
 Objective = Callable[[Trial], float]
 
@@ -150,6 +147,9 @@ class TuneJob:
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
     cancel_requested: bool = False
+    # The job's one end-of-job signal: set by the subscription _enqueue
+    # registers, once the terminal event is in the log and before any other
+    # subscriber sees it.
     _done: threading.Event = field(default_factory=threading.Event,
                                    repr=False, compare=False)
     # Guards state transitions against the cancel()/dispatcher race.
@@ -158,7 +158,13 @@ class TuneJob:
 
     @property
     def finished(self) -> bool:
-        """Whether the job reached a terminal state."""
+        """Whether the job's state machine reached a terminal state.
+
+        The state flips a few ms before the terminal event publishes (the
+        storage save and the log append run in between); ``status()``'s
+        ``finished`` and :meth:`AntTuneServer.wait` read ``_done`` instead,
+        which flips only once that event is on the job's stream.
+        """
         return self.state in (JobState.COMPLETED, JobState.FAILED,
                               JobState.CANCELLED)
 
@@ -432,7 +438,7 @@ class AntTuneServer:
                 f"resume() to continue it or delete_study() to discard it")
         # Acquire the dispatcher *before* registering or persisting anything:
         # a shut-down server must refuse cleanly, not leave a zombie QUEUED
-        # job whose _done event never fires.
+        # job whose terminal event never publishes.
         dispatcher = self._ensure_dispatcher()
         with self._jobs_lock:
             for other in self._jobs.values():
@@ -456,6 +462,10 @@ class AntTuneServer:
                          priority=job.priority, preempt=job.preempt,
                          trace_id=job.trace_id)
             self._bus.subscribe(job_id, callback=log.append)
+        # Right after the log's callback: _done flips once the terminal event
+        # is logged, and before any later subscriber (a wait, a stream)
+        # sees it.
+        self.on_terminal(job_id, job._done.set)
         if self.storage is not None:
             # Trial rows land only with the checkpoint that charges them
             # (save_study: payload, budget and changed rows in one
@@ -464,7 +474,7 @@ class AntTuneServer:
                 self.storage.save_study(job.study_name, study,
                                         status=JobState.QUEUED.value)
             except Exception:  # dying storage: no zombie QUEUED job may stay
-                # registered whose _done event would never fire.
+                # registered whose terminal event would never publish.
                 with self._jobs_lock:
                     self._jobs.pop(job_id, None)
                 with job._state_lock:
@@ -818,7 +828,6 @@ class AntTuneServer:
                 # before we started): never run its study.  The terminal event
                 # was (or is being) published by cancel() itself.
                 job.state = JobState.CANCELLED
-                job._done.set()
                 return
             job.state = JobState.RUNNING
         self._publish_job_state(job)
@@ -883,11 +892,10 @@ class AntTuneServer:
                     self.storage.save_study(job.study_name, job.study,
                                             status=job.state.value)
                 except Exception as exc:  # a dying storage must not leave the
-                    # job un-finished: wait() would block forever on _done.
+                    # job without its terminal event: wait() would block forever.
                     job.error = job.error or f"storage save failed: {exc}"
             # The terminal event: subscriptions drain and close on it.
             self._publish_job_state(job, terminal=True)
-            job._done.set()
 
     @staticmethod
     def _select_victims(trials: List[Trial], excess: int) -> List[Trial]:
@@ -951,8 +959,8 @@ class AntTuneServer:
     def cancel(self, job_id: int) -> bool:
         """Cancel a queued or running job; terminal state is ``CANCELLED``.
 
-        A queued job is finalised immediately (its ``_done`` event fires and
-        its CANCELLED status persists to storage without waiting for a
+        A queued job is finalised immediately (its terminal event publishes
+        and its CANCELLED status persists to storage without waiting for a
         dispatcher slot).  A running job's trial loop wakes on the stop
         request at once: in-flight trials — including remote process-backend
         ones — are killed and recorded ``CANCELLED``, and each objective
@@ -990,7 +998,6 @@ class AntTuneServer:
             # Queued jobs terminate here (no dispatcher run will): close the
             # stream.  Running jobs get their terminal event from _run_job.
             self._publish_job_state(job, terminal=True)
-            job._done.set()
         return True
 
     # ------------------------------------------------------------------ #
@@ -1001,7 +1008,7 @@ class AntTuneServer:
         return self.status(job_id)
 
     def wait(self, job_id: int, timeout: Optional[float] = None) -> Trial:
-        """Block until a job finishes and return its best trial.
+        """Block until a job's terminal event is on its stream; return its best trial.
 
         Args:
             job_id: the job to wait on.
@@ -1014,71 +1021,34 @@ class AntTuneServer:
             TrialError: the job failed, was cancelled, timed out, or finished
                 without any successful trial.
         """
-        if job_id in self._recovered:
-            return self._wait_recovered(job_id)
-        job = self._get(job_id)
-        if not job._done.wait(timeout):
-            raise TrialError(f"job {job_id} still running after {timeout}s")
-        if job.state is JobState.CANCELLED:
-            raise TrialError(f"job {job_id} was cancelled")
-        if job.state is JobState.FAILED:
-            raise TrialError(f"job {job_id}: {job.error}")
-        try:
-            return job.study.best_trial
-        except TrialError as exc:
-            # raise_on_all_failed=False lets a study complete with zero
-            # usable trials; surface that as this job's outcome, not as a
-            # bare best-trial lookup error.
-            raise TrialError(
-                f"job {job_id} completed without any successful trial "
-                f"(raise_on_all_failed=False)") from exc
-
-    def _wait_recovered(self, job_id: int) -> Trial:
-        """wait() for a pre-restart job: answer from its stored trial rows."""
-        snapshot = self._recovered[job_id]
-        state, name = snapshot["state"], snapshot["study_name"]
+        recovered = self._recovered.get(job_id)
+        if recovered is None:
+            job = self._get(job_id)
+            if not job._done.wait(timeout):
+                raise TrialError(f"job {job_id} still running after {timeout}s")
+            state, error = job.state.value, job.error
+        else:  # ended before this process started: storage rows answer
+            state, error = recovered["state"], recovered["error"]
         if state == JobState.CANCELLED.value:
             raise TrialError(f"job {job_id} was cancelled")
         if state == JobState.FAILED.value:
-            raise TrialError(f"job {job_id}: {snapshot['error']}")
-        summary = self.storage.study_summary(name) or {}
-        records = [record for record
-                   in self.storage.load_payload(name)["trials"]
-                   if record.get("state") == TrialState.COMPLETED.value
-                   and record.get("value") is not None]
-        if not records:
+            raise TrialError(f"job {job_id}: {error}")
+        if recovered is None:
+            trials = completed_trials(job.study.trials)
+            maximize = job.study.config.maximize
+        else:
+            from repro.automl.remote.api import trial_from_record
+            payload = self.storage.load_payload(recovered["study_name"])
+            trials = completed_trials(
+                [trial_from_record(record) for record in payload["trials"]])
+            maximize = payload["config"]["maximize"]
+        if not trials:
+            # raise_on_all_failed=False lets a study complete with zero
+            # usable trials; surface that as this job's outcome.
             raise TrialError(
-                f"job {job_id} completed without any successful trial")
-        best = (max if summary.get("maximize", True) else min)(
-            records, key=lambda record: record["value"])
-        from repro.automl.remote.api import trial_from_record
-        return trial_from_record(best)
-
-    def run(self, job_id: int, checkpoint_path: Optional[str] = None) -> Trial:
-        """Blocking convenience kept from the synchronous server: wait for a job.
-
-        The job was already started by :meth:`submit`, so ``checkpoint_path``
-        can only take effect if the dispatcher has not picked the job up yet —
-        pass it to :meth:`submit` instead; a warning is raised when it arrives
-        too late to apply.
-
-        Args:
-            job_id: the job to wait on.
-            checkpoint_path: late checkpoint target (queued jobs only).
-
-        Returns:
-            The best completed trial (see :meth:`wait` for raises).
-        """
-        job = self._get(job_id)
-        if checkpoint_path is not None:
-            if job.state is JobState.QUEUED:
-                job.checkpoint_path = checkpoint_path
-            else:
-                warnings.warn(
-                    f"job {job_id} is already {job.state.value}; checkpoint_path "
-                    "was ignored — pass it to submit() instead", RuntimeWarning,
-                    stacklevel=2)
-        return self.wait(job_id)
+                f"job {job_id} completed without any successful trial "
+                f"(raise_on_all_failed=False)")
+        return (max if maximize else min)(trials, key=lambda trial: trial.value)
 
     def status(self, job_id: int) -> Dict[str, object]:
         """Job state plus per-trial-state counts (consistent mid-run).
@@ -1091,7 +1061,10 @@ class AntTuneServer:
             job_id: the job to inspect.
 
         Returns:
-            A dict with ``job_id``, ``state``, ``finished``, ``error``,
+            A dict with ``job_id``, ``state``, ``finished`` (the job's
+            terminal event is on its stream, so :meth:`wait` answers at
+            once; ``state`` can read a terminal value a few ms earlier,
+            while the storage save and the log append run), ``error``,
             ``num_trials``, per-state ``states`` counts, ``best_value``
             (COMPLETED trials only), ``priority``, ``workers``,
             ``study_name`` and ``trace_id`` (the correlation id stamped on
@@ -1126,7 +1099,7 @@ class AntTuneServer:
         return {
             "job_id": job_id,
             "state": job.state.value,
-            "finished": job.finished,
+            "finished": job._done.is_set(),
             "error": job.error,
             "num_trials": len(trials),
             "states": states,
@@ -1245,57 +1218,3 @@ class AntTuneServer:
             if job_id not in self._jobs:
                 raise TrialError(f"unknown job id {job_id}")
             return self._jobs[job_id]
-
-
-class AntTuneClient:
-    """The SDK-side view: submit a space + objective, poll or wait, fetch the best."""
-
-    def __init__(self, server: Optional[AntTuneServer] = None) -> None:
-        self.server = server or AntTuneServer()
-
-    def submit(self, space: SearchSpace, objective: Objective, **kwargs: object) -> int:
-        """Enqueue a job on the server and return its id (non-blocking).
-
-        Keyword arguments pass through to :meth:`AntTuneServer.submit`
-        (``priority=``, ``pruner=``, ``study_name=``, ...).
-        """
-        return self.server.submit(space, objective, **kwargs)
-
-    def poll(self, job_id: int) -> Dict[str, object]:
-        """Non-blocking progress snapshot (see :meth:`AntTuneServer.status`)."""
-        return self.server.poll(job_id)
-
-    def wait(self, job_id: int, timeout: Optional[float] = None) -> Trial:
-        """Block for a job's best trial (see :meth:`AntTuneServer.wait`)."""
-        return self.server.wait(job_id, timeout=timeout)
-
-    def cancel(self, job_id: int) -> bool:
-        """Cancel a queued or running job (see :meth:`AntTuneServer.cancel`)."""
-        return self.server.cancel(job_id)
-
-    def subscribe(self, job_id: int,
-                  **kwargs: object) -> Union[Subscription, EventCursor]:
-        """Follow a job's event stream (see :meth:`AntTuneServer.subscribe`)."""
-        return self.server.subscribe(job_id, **kwargs)
-
-    def tune(self, space: SearchSpace, objective: Objective,
-             algorithm: Optional[SearchAlgorithm] = None,
-             config: Optional[StudyConfig] = None,
-             pruner: Optional[Pruner] = None,
-             rng: Optional[np.random.Generator] = None) -> Trial:
-        """Submit a job, run it to completion and return the best trial.
-
-        Args:
-            space: the search space to explore.
-            objective: callable evaluated per trial.
-            algorithm: search algorithm (default RACOS seeded per job).
-            config: study limits and budget.
-            pruner: early-stopping policy.
-            rng: explicit RNG stream.
-
-        Returns:
-            The best completed trial.
-        """
-        job_id = self.server.submit(space, objective, algorithm=algorithm, config=config,
-                                    pruner=pruner, rng=rng)
-        return self.server.wait(job_id)

@@ -26,7 +26,7 @@ import json
 import sqlite3
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -335,6 +335,11 @@ class StudyStorage:
         ``best_value`` honours the study's optimisation direction: the max
         completed value for maximize studies, the min for minimize ones.
         """
+        return self._summaries("", ())
+
+    def _summaries(self, where: str,
+                   args: Tuple[object, ...]) -> List[Dict[str, object]]:
+        """The summary rows of the studies matching ``where``."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT s.name, s.algorithm, s.status, s.maximize, "
@@ -346,7 +351,7 @@ class StudyStorage:
                 "            ELSE MIN(CASE WHEN t.state = 'completed' THEN t.value END) "
                 "       END AS best_value "
                 "FROM studies s LEFT JOIN trials t ON t.study_name = s.name "
-                "GROUP BY s.name ORDER BY s.created_at").fetchall()
+                f"{where} GROUP BY s.name ORDER BY s.created_at", args).fetchall()
         return [dict(row, maximize=bool(row["maximize"])) for row in rows]
 
     def study_exists(self, name: str) -> bool:
@@ -369,10 +374,8 @@ class StudyStorage:
 
     def study_summary(self, name: str) -> Optional[Dict[str, object]]:
         """One :meth:`list_studies`-style summary row, or None when unknown."""
-        for row in self.list_studies():
-            if row["name"] == name:
-                return row
-        return None
+        rows = self._summaries("WHERE s.name = ?", (name,))
+        return rows[0] if rows else None
 
     def trial_state_counts(self, name: str) -> Dict[str, int]:
         """Stored trial rows of ``name`` grouped by state (empty if none)."""

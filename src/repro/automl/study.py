@@ -43,11 +43,7 @@ from repro.automl import metrics as _metrics
 from repro.automl.algorithms.base import SearchAlgorithm, completed_trials
 from repro.automl.algorithms.racos import RACOS
 from repro.automl.events import TrialEvent, TrialFinished, TrialStarted
-from repro.automl.executors import (
-    TrialExecutor,
-    execute_trial,
-    make_executor,
-)
+from repro.automl.executors import TrialExecutor, make_executor
 from repro.automl.pruners import NoPruner, Pruner
 from repro.automl.scheduler import SchedulerLike, make_scheduler
 from repro.automl.search_space import SearchSpace
@@ -161,11 +157,11 @@ class Study:
     def request_stop(self) -> None:
         """Ask a running :meth:`optimize` to stop now.
 
-        A parallel run's trial loop wakes at once: in-flight trials are
-        killed and recorded ``CANCELLED`` (their objectives stop at their
-        next ``report()``), and the cancelled slots are not charged, so a
-        later :meth:`optimize` (after :meth:`reset_stop`) re-runs them.  The
-        sequential path stops before its next trial.  Sticky until
+        The trial loop wakes at once: in-flight trials are killed and
+        recorded ``CANCELLED`` (their objectives stop at their next
+        ``report()``; an inline trial on one worker runs to its end first),
+        and the cancelled slots are not charged, so a later :meth:`optimize`
+        (after :meth:`reset_stop`) re-runs them.  Sticky until
         :meth:`reset_stop`.
         """
         self._stop.set()
@@ -185,7 +181,7 @@ class Study:
     # ------------------------------------------------------------------ #
     # Optimisation loop
     # ------------------------------------------------------------------ #
-    def optimize(self, objective: Objective, worker_name: str = "worker-0", *,
+    def optimize(self, objective: Objective, *,
                  n_workers: int = 1, executor: Optional[TrialExecutor] = None,
                  backend: str = "auto", base_seed: int = 0,
                  scheduler: SchedulerLike = None,
@@ -194,18 +190,19 @@ class Study:
                  checkpoint_fn: Optional[Callable[[], None]] = None) -> Optional[Trial]:
         """Run the configured number of trials and return the best one.
 
-        With ``n_workers=1`` (and no explicit ``executor``, ``backend`` or
-        ``scheduler``) trials run inline on the calling thread, exactly as the
-        historical sequential loop did.  Otherwise trials are evaluated
-        concurrently on a worker pool (``backend``: ``"thread"`` or
-        ``"process"``, with ``base_seed`` feeding the process workers' RNG
-        streams; see :func:`repro.automl.executors.make_executor`),
-        driven by the requested scheduler: ``"round"`` (deterministic batches,
-        the default) or ``"async"`` (slot refill — stragglers don't idle the
-        other workers).  ask/tell remain serialised in both modes.
+        Every run drives the trial loop (:mod:`repro.automl.scheduler`) on a
+        worker pool: ``executor`` when given, else one built by
+        :func:`repro.automl.executors.make_executor` from ``n_workers``,
+        ``backend`` and ``base_seed`` (the process workers' RNG streams).
+        With ``n_workers=1`` that pool is a
+        :class:`~repro.automl.executors.SynchronousExecutor`, running each
+        trial inline on the calling thread.  The requested scheduler is
+        ``"round"`` (deterministic batches, the default) or ``"async"``
+        (slot refill — stragglers don't idle the other workers); ask/tell
+        stay serialised in both.
 
-        ``checkpoint_path`` saves the study state as JSON after every trial
-        (sequential) or scheduling step (parallel); ``checkpoint_fn`` is an
+        ``checkpoint_path`` saves the study state as JSON after every round
+        (round) or consumed budget slot (async); ``checkpoint_fn`` is an
         arbitrary callback invoked at the same points (e.g. persisting into a
         :class:`~repro.automl.storage.StudyStorage`).  See
         :meth:`restore_checkpoint`.  Returns ``None`` when no trial completed
@@ -213,17 +210,19 @@ class Study:
         """
         remaining = max(0, self.config.n_trials - self._resume_offset)
         self._budget_used, self._resume_offset = self._resume_offset, 0
-        checkpoint_cb = self._checkpoint_callback(checkpoint_path, checkpoint_fn)
-        sequential = (executor is None and n_workers == 1
-                      and backend in ("auto", "sync") and scheduler is None)
-        if sequential:
-            self._run_sequential(objective, worker_name, remaining, checkpoint_cb)
-        else:
-            self._run_parallel(objective, remaining, n_workers=n_workers,
-                               executor=executor, backend=backend,
-                               base_seed=base_seed, scheduler=scheduler,
-                               worker_names=worker_names,
-                               checkpoint_fn=checkpoint_cb)
+        owns_executor = executor is None
+        if owns_executor:
+            executor = make_executor(n_workers, backend=backend,
+                                     base_seed=base_seed)
+        names = list(worker_names) if worker_names else [
+            f"worker-{i}" for i in range(executor.n_workers)]
+        try:
+            make_scheduler(scheduler).run(
+                self, objective, executor, remaining, names,
+                self._checkpoint_callback(checkpoint_path, checkpoint_fn))
+        finally:
+            if owns_executor:
+                executor.shutdown()
         if not completed_trials(self.trials):
             if self.config.raise_on_all_failed:
                 raise TrialError("every trial in the study failed")
@@ -292,40 +291,6 @@ class Study:
             trial_id=trial.trial_id, state=trial.state.value,
             value=trial.value, record=record))
 
-    def _run_sequential(self, objective: Objective, worker_name: str,
-                        remaining: int,
-                        checkpoint_fn: Optional[Callable[[], None]]) -> None:
-        start_time = time.perf_counter()
-        for _ in range(remaining):
-            if self.stop_requested or self._total_time_exceeded(start_time):
-                break
-            params = self.ask_params()
-            trial = self._run_single(objective, params, worker_name)
-            retries = 0
-            while trial.state == TrialState.FAILED and retries < self.config.max_retries:
-                retries += 1
-                trial = self._run_single(objective, dict(params), worker_name)
-            self._budget_used += 1
-            if checkpoint_fn is not None:
-                checkpoint_fn()
-
-    def _run_parallel(self, objective: Objective, remaining: int, *, n_workers: int,
-                      executor: Optional[TrialExecutor], backend: str,
-                      base_seed: int, scheduler: SchedulerLike,
-                      worker_names: Optional[Sequence[str]],
-                      checkpoint_fn: Optional[Callable[[], None]]) -> None:
-        owns_executor = executor is None
-        executor = executor if executor is not None else make_executor(
-            n_workers, backend=backend, base_seed=base_seed)
-        names = list(worker_names) if worker_names else [
-            f"worker-{i}" for i in range(executor.n_workers)]
-        try:
-            make_scheduler(scheduler).run(self, objective, executor, remaining,
-                                          names, checkpoint_fn)
-        finally:
-            if owns_executor:
-                executor.shutdown()
-
     def _new_trial(self, params: Dict[str, object], worker: str) -> Trial:
         # No event publish here: callers hold the study lock, and event
         # delivery can block (turnstile, subscriber callbacks, storage
@@ -344,17 +309,6 @@ class Study:
         self.publish_event(TrialStarted(trial_id=trial.trial_id,
                                         params=dict(trial.params),
                                         worker=trial.worker))
-
-    def _run_single(self, objective: Objective, params: Dict[str, object], worker: str) -> Trial:
-        trial = self._new_trial(params, worker)
-        self._publish_started(trial)
-        execute_trial(objective, trial, self.config.trial_time_limit)
-        self.tell(trial)
-        return trial
-
-    def _total_time_exceeded(self, start_time: float) -> bool:
-        limit = self.config.total_time_limit
-        return limit is not None and (time.perf_counter() - start_time) > limit
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume

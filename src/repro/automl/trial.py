@@ -159,10 +159,6 @@ class Trial:
             if self._kill_reason is None:
                 self._kill_reason = reason
 
-    def cancel(self) -> None:
-        """Mark the trial as past its deadline (kept from the PR 1 API)."""
-        self.kill(KILL_DEADLINE)
-
     @property
     def kill_reason(self) -> Optional[str]:
         """Why the trial was killed, or None while it is allowed to run."""

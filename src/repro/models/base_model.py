@@ -16,7 +16,34 @@ from repro.models.profile_encoder import ProfileEncoder
 __all__ = ["ALTModel", "BasicProfileModel"]
 
 
-class ALTModel(Module):
+class _LogitModel(Module):
+    """A model whose ``forward`` scores a batch with one logit per row."""
+
+    def predict_logits(self, batch: Batch) -> np.ndarray:
+        """Inference-mode logits as a numpy array (no autograd graph).
+
+        A deployed model is already in eval mode (``train_supervised`` ends
+        with ``model.eval()``), so the module tree is walked only to switch a
+        training-mode model to eval, and back afterwards.
+        """
+        was_training = self.training
+        if was_training:
+            self.eval()
+        try:
+            with no_grad():
+                logits = self.forward(batch)
+        finally:
+            if was_training:
+                self.train()
+        return logits.numpy().copy()
+
+    def predict_proba(self, batch: Batch) -> np.ndarray:
+        """Inference-mode default/click probabilities."""
+        logits = self.predict_logits(batch)
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
+class ALTModel(_LogitModel):
     """Profile encoder + behaviour encoder + prediction MLP, producing one logit.
 
     This is the shared skeleton of every compared model in Sec. V (SinH / MeH /
@@ -40,22 +67,6 @@ class ALTModel(Module):
         logits = self.head(joint)
         return logits.reshape(len(batch))
 
-    def predict_logits(self, batch: Batch) -> np.ndarray:
-        """Inference-mode logits as a numpy array (no autograd graph)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                logits = self.forward(batch)
-        finally:
-            self.train(was_training)
-        return logits.numpy().copy()
-
-    def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Inference-mode default/click probabilities."""
-        logits = self.predict_logits(batch)
-        return 1.0 / (1.0 + np.exp(-logits))
-
     def flops(self, seq_len: int) -> int:
         """Analytical per-sample inference FLOPs (the budget quantity of Eq. 4)."""
         profile = self.profile_encoder.flops()
@@ -64,7 +75,7 @@ class ALTModel(Module):
         return int(profile + behavior + head)
 
 
-class BasicProfileModel(Module):
+class BasicProfileModel(_LogitModel):
     """Profile-only baseline ("Basic" in Fig. 10 / Table VII): no behaviour sequence."""
 
     def __init__(self, profile_encoder: ProfileEncoder, head_hidden: tuple = (16,),
@@ -78,20 +89,6 @@ class BasicProfileModel(Module):
         profile_vec = self.profile_encoder(Tensor(batch.profiles))
         logits = self.head(profile_vec)
         return logits.reshape(len(batch))
-
-    def predict_logits(self, batch: Batch) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                logits = self.forward(batch)
-        finally:
-            self.train(was_training)
-        return logits.numpy().copy()
-
-    def predict_proba(self, batch: Batch) -> np.ndarray:
-        logits = self.predict_logits(batch)
-        return 1.0 / (1.0 + np.exp(-logits))
 
     def flops(self, seq_len: int = 0) -> int:
         return int(self.profile_encoder.flops() + self.head.flops(1))

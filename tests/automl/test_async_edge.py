@@ -31,7 +31,11 @@ from repro.automl.events import (
     TrialStarted,
     event_wire_bytes,
 )
-from repro.automl.remote import AntTuneClient, RemoteTuneServer
+from repro.automl.remote import (
+    AntTuneClient,
+    RemoteRouterServer,
+    RemoteTuneServer,
+)
 from repro.automl.remote.edge import AsyncHTTPEdge, _Connection, _StreamSink
 from repro.automl.remote.http_server import _TuneApp
 from repro.automl.server import EventWindow
@@ -308,6 +312,66 @@ class TestParkedWait:
                 mux.close()
                 _release(helper_module)
                 client.wait(job_id, timeout=30.0)
+
+
+class TestRouterParkedWait:
+    """The router parks ``/wait`` on the same parker as a backend does."""
+
+    N_WAITERS = 20
+
+    @pytest.fixture
+    def front(self, helper_module):
+        backend = RemoteTuneServer(num_workers=2, backend="thread").start()
+        router = RemoteRouterServer([backend.url]).start()
+        try:
+            yield router
+        finally:
+            router.stop()
+            backend.stop()
+
+    def test_parked_waits_complete_on_terminal_without_threads(
+            self, front, helper_module):
+        client = AntTuneClient(front.url, timeout=10.0)
+        job_id = client.submit(f"{helper_module}:SPACE",
+                               f"{helper_module}:gate_then_report",
+                               config={"n_trials": 1}, seed=5)
+        baseline = threading.active_count()
+        mux = _Mux(front.address,
+                   [_wait_request(job_id, 30.0)] * self.N_WAITERS)
+        try:
+            assert mux.pump_until(lambda m: all(m._sent), 10.0)
+            time.sleep(0.3)
+            assert not any(mux.done)
+            assert all(len(buf) == 0 for buf in mux.buffers)
+            grown = threading.active_count() - baseline
+            assert grown <= 10, (
+                f"{self.N_WAITERS} parked waits grew {grown} threads")
+            _release(helper_module)
+            assert mux.pump_all_done(30.0), "waits never completed"
+            for buf in mux.buffers:
+                status, body = _parse_response(buf)
+                assert status == 200
+                payload = json.loads(body)
+                assert payload["done"] and payload["state"] == "completed"
+                assert payload["best"]["value"] is not None
+        finally:
+            mux.close()
+
+    def test_wait_timeout_answers_not_done(self, front, helper_module):
+        client = AntTuneClient(front.url, timeout=10.0)
+        job_id = client.submit(f"{helper_module}:SPACE",
+                               f"{helper_module}:gate_then_report",
+                               config={"n_trials": 1}, seed=6)
+        mux = _Mux(front.address, [_wait_request(job_id, 0.5)])
+        try:
+            assert mux.pump_all_done(10.0), "timed wait never answered"
+            status, body = _parse_response(mux.buffers[0])
+            assert status == 200
+            assert json.loads(body)["done"] is False
+        finally:
+            mux.close()
+            _release(helper_module)
+            client.wait(job_id, timeout=30.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -615,7 +679,7 @@ class TestStreamSinkByHand:
             event = (JobStateChanged(state="completed", terminal=True,
                                      job_id=3, seq=seq) if terminal
                      else _report(seq, job_id=3, seq=seq))
-            with job.cond:
+            with job.lock:
                 job.terminal = terminal
                 TuneRouter._append_line(job, event_wire_bytes(event),
                                         terminal)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.automl import (
-    AntTuneClient,
     AntTuneServer,
     JobState,
     MedianPruner,
@@ -20,7 +19,8 @@ from repro.automl import (
     StudyConfig,
     StudyStorage,
 )
-from repro.automl.events import EventBus
+from repro.automl.events import EventBus, JobStateChanged
+from repro.automl.remote.http_server import _wait_payload
 from repro.automl.search_space import SearchSpace, Uniform
 from repro.automl.trial import PrunedTrial, TrialState
 from repro.exceptions import TrialError
@@ -92,14 +92,6 @@ class TestSubmitPollWait:
             for sa, ea in intervals["a"] for sb, eb in intervals["b"])
         assert overlap, "jobs a and b never executed trials concurrently"
 
-    def test_run_keeps_blocking_compatibility(self, space, server):
-        job_id = server.submit(space, lambda t: t.params["x"],
-                               config=StudyConfig(n_trials=4),
-                               rng=np.random.default_rng(0))
-        best = server.run(job_id)
-        assert best.value is not None
-        assert server.status(job_id)["finished"] is True
-
     def test_jobs_listing(self, space, server):
         ids = [server.submit(space, lambda t: t.params["x"],
                              config=StudyConfig(n_trials=2)) for _ in range(3)]
@@ -146,6 +138,120 @@ class TestSubmitPollWait:
                 server.wait(job_id, timeout=10.0)
             # The study itself completed per its config; poll agrees.
             assert server.poll(job_id)["state"] == JobState.COMPLETED.value
+
+
+class TestOneEndSignal:
+    """A job's end has one signal: its terminal event on the stream.
+
+    A subscriber that sees the terminal event can already ask every wait:
+    ``wait(timeout=0)`` answers the outcome, ``status()`` says finished and
+    the ``/wait`` body says done with the same best trial.  The objectives
+    are gated so every subscription attaches before the job ends; nothing
+    sleeps.
+    """
+
+    @staticmethod
+    def _observe(server, job_id):
+        """Ask every wait from inside the job's terminal-event callback."""
+        seen = {}
+        observed = threading.Event()
+
+        def on_event(event):
+            if not (isinstance(event, JobStateChanged) and event.terminal):
+                return
+            try:
+                seen["finished"] = server.status(job_id)["finished"]
+                try:
+                    seen["best"] = server.wait(job_id, timeout=0)
+                except TrialError as exc:
+                    seen["error"] = str(exc)
+                seen["payload"] = _wait_payload(server, job_id)
+            finally:
+                observed.set()
+
+        server.subscribe(job_id, callback=on_event)
+        return seen, observed
+
+    @staticmethod
+    def _gated(gate, fail=False):
+        def objective(trial):
+            assert gate.wait(10.0), "test never opened the gate"
+            if fail:
+                raise RuntimeError("boom")
+            return trial.params["x"]
+        return objective
+
+    def _run(self, server, space, config, fail=False):
+        gate = threading.Event()
+        job_id = server.submit(space, self._gated(gate, fail), config=config,
+                               rng=np.random.default_rng(0))
+        seen, observed = self._observe(server, job_id)
+        gate.set()
+        assert observed.wait(10.0), "no terminal event"
+        return seen
+
+    def test_completed(self, space, server):
+        seen = self._run(server, space, StudyConfig(n_trials=3))
+        assert "error" not in seen, seen.get("error")
+        assert seen["finished"] is True
+        assert seen["payload"] == {"done": True, "state": "completed",
+                                   "error": None,
+                                   "best": seen["best"].as_record()}
+
+    def test_failed(self, space, server):
+        seen = self._run(server, space, StudyConfig(n_trials=2, max_retries=0),
+                         fail=True)
+        assert "every trial failed" in seen["error"]
+        assert seen["finished"] is True
+        payload = seen["payload"]
+        assert payload["done"] is True and payload["state"] == "failed"
+        assert "every trial failed" in payload["error"]
+        assert payload["best"] is None
+
+    def test_completed_without_a_successful_trial(self, space, server):
+        seen = self._run(server, space,
+                         StudyConfig(n_trials=2, max_retries=0,
+                                     raise_on_all_failed=False), fail=True)
+        assert "without any successful trial" in seen["error"]
+        assert seen["finished"] is True
+        assert seen["payload"] == {"done": True, "state": "completed",
+                                   "error": seen["error"], "best": None}
+
+    def test_cancelled_while_queued(self, space):
+        with AntTuneServer(num_workers=1, max_concurrent_jobs=1) as server:
+            gate = threading.Event()
+            blocker = server.submit(space, self._gated(gate),
+                                    config=StudyConfig(n_trials=1))
+            queued = server.submit(space, lambda t: t.params["x"],
+                                   config=StudyConfig(n_trials=1))
+            seen, observed = self._observe(server, queued)
+            assert server.cancel(queued) is True
+            # cancel() publishes the terminal event on this thread.
+            assert observed.is_set()
+            gate.set()
+            server.wait(blocker, timeout=10.0)
+        assert seen["error"] == f"job {queued} was cancelled"
+        assert seen["finished"] is True
+        assert seen["payload"] == {"done": True, "state": "cancelled",
+                                   "error": seen["error"], "best": None}
+
+    def test_recovered_after_restart(self, space, tmp_path):
+        db = str(tmp_path / "svc.db")
+        with AntTuneServer(num_workers=2, storage=db) as first:
+            job_id = first.submit(space, lambda t: t.params["x"],
+                                  config=StudyConfig(n_trials=3),
+                                  rng=np.random.default_rng(0),
+                                  study_name="ended")
+            best = first.wait(job_id, timeout=10.0)
+        with AntTuneServer(num_workers=2, storage=db) as second:
+            second.recover()
+            # The bus replays the recovered terminal event at subscribe.
+            seen, observed = self._observe(second, job_id)
+            assert observed.is_set()
+        assert seen["finished"] is True
+        assert seen["best"].as_record() == best.as_record()
+        assert seen["payload"] == {"done": True, "state": "completed",
+                                   "error": None, "best": best.as_record()}
 
 
 class TestPerJobSeeds:
@@ -377,25 +483,19 @@ class TestPersistence:
 
 class TestClient:
     def test_client_tune_end_to_end(self, space):
-        client = AntTuneClient()
-        try:
-            best = client.tune(space, lambda t: 1.0 - abs(t.params["x"] - 0.7),
-                               config=StudyConfig(n_trials=10),
-                               rng=np.random.default_rng(0))
+        with AntTuneServer() as server:
+            best = server.wait(server.submit(
+                space, lambda t: 1.0 - abs(t.params["x"] - 0.7),
+                config=StudyConfig(n_trials=10), rng=np.random.default_rng(0)))
             assert best.value > 0.7
-        finally:
-            client.server.shutdown()
 
     def test_client_submit_poll_wait(self, space):
-        client = AntTuneClient(server=AntTuneServer(num_workers=2))
-        try:
-            job_id = client.submit(space, lambda t: t.params["x"],
+        with AntTuneServer(num_workers=2) as server:
+            job_id = server.submit(space, lambda t: t.params["x"],
                                    config=StudyConfig(n_trials=4))
-            best = client.wait(job_id, timeout=10.0)
+            best = server.wait(job_id, timeout=10.0)
             assert best.value is not None
-            assert client.poll(job_id)["finished"] is True
-        finally:
-            client.server.shutdown()
+            assert server.poll(job_id)["finished"] is True
 
     def test_async_scheduler_service(self, space):
         with AntTuneServer(num_workers=4, scheduler="async") as server:

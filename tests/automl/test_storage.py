@@ -144,6 +144,18 @@ class TestStudyStorage:
         assert row["best_value"] == study.best_value  # the *smallest* value
         assert row["best_value"] == min(t.value for t in study.trials)
 
+    def test_study_summary_is_the_listed_row(self, space, storage):
+        for name, maximize, seed in (("up", True, 1), ("down", False, 2)):
+            study = _study(space, seed=seed, n_trials=4, maximize=maximize)
+            study.optimize(lambda t: t.params["x"])
+            storage.save_study(name, study, status="completed")
+        storage.save_study("empty", _study(space, n_trials=3), status="queued")
+        listed = {row["name"]: row for row in storage.list_studies()}
+        for name in ("up", "down", "empty"):
+            assert storage.study_summary(name) == listed[name]
+        assert listed["up"]["maximize"] and not listed["down"]["maximize"]
+        assert storage.study_summary("unknown") is None
+
     def test_set_status(self, space, storage):
         storage.save_study("s", _study(space, n_trials=2), status="running")
         storage.set_status("s", "failed")

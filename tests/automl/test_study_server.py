@@ -10,7 +10,7 @@ import pytest
 from repro.automl.algorithms import RandomSearch
 from repro.automl.pruners import MedianPruner, NoPruner
 from repro.automl.search_space import SearchSpace, Uniform
-from repro.automl.server import AntTuneClient, AntTuneServer
+from repro.automl.server import AntTuneServer
 from repro.automl.study import Study, StudyConfig
 from repro.automl.trial import PrunedTrial, Trial, TrialState
 from repro.exceptions import TrialError
@@ -127,7 +127,7 @@ class TestAntTuneServer:
         server = AntTuneServer(num_workers=3)
         job_id = server.submit(space, lambda t: t.params["x"],
                                config=StudyConfig(n_trials=6), rng=np.random.default_rng(0))
-        best = server.run(job_id)
+        best = server.wait(job_id)
         assert best.value is not None
         status = server.status(job_id)
         assert status["finished"] and status["num_trials"] == 6
@@ -137,7 +137,7 @@ class TestAntTuneServer:
         server = AntTuneServer(num_workers=2)
         job_id = server.submit(space, lambda t: t.params["x"],
                                config=StudyConfig(n_trials=4), rng=np.random.default_rng(0))
-        server.run(job_id)
+        server.wait(job_id)
         workers = [t.worker for t in server._jobs[job_id].study.trials]
         assert set(workers) == {"worker-0", "worker-1"}
 
@@ -151,7 +151,7 @@ class TestAntTuneServer:
                                config=StudyConfig(n_trials=2, max_retries=0),
                                rng=np.random.default_rng(0))
         with pytest.raises(TrialError, match="every trial failed"):
-            server.run(job_id)
+            server.wait(job_id)
         assert server.status(job_id)["finished"] is True
 
     def test_unknown_job_raises(self):
@@ -160,9 +160,10 @@ class TestAntTuneServer:
             server.status(99)
 
     def test_client_tune_end_to_end(self, space):
-        client = AntTuneClient()
-        best = client.tune(space, lambda t: 1.0 - abs(t.params["x"] - 0.7),
-                           config=StudyConfig(n_trials=10), rng=np.random.default_rng(0))
+        with AntTuneServer() as server:
+            best = server.wait(server.submit(
+                space, lambda t: 1.0 - abs(t.params["x"] - 0.7),
+                config=StudyConfig(n_trials=10), rng=np.random.default_rng(0)))
         assert best.value > 0.7
 
     def test_invalid_worker_count(self):

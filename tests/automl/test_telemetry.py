@@ -25,6 +25,7 @@ from repro.automl import (
 from repro.automl.search_space import SearchSpace, Uniform
 from repro.automl.trial import (
     KILL_CANCELLED,
+    KILL_DEADLINE,
     KILL_PRUNED,
     PrunedTrial,
     Trial,
@@ -84,7 +85,7 @@ class TestKillSignals:
 
     def test_cancel_keeps_deadline_semantics(self):
         trial = Trial(0, {"x": 0.5})
-        trial.cancel()
+        trial.kill(KILL_DEADLINE)
         assert trial.killed_state is TrialState.TIMED_OUT
         with pytest.raises(TrialCancelled):
             trial.report(0.1)

@@ -12,7 +12,8 @@ from repro.models.factory import build_basic_model, build_model, build_nas_model
 from repro.models.profile_encoder import ProfileEncoder
 from repro.nas.genotype import chain_genotype
 from repro.nn.data import Batch
-from repro.nn.tensor import Tensor
+from repro.nn.module import Module
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -133,3 +134,58 @@ class TestNASModel:
         a = build_nas_model(config.with_overrides(encoder_type="nas"), genotype, seed=3)
         b = build_nas_model(config.with_overrides(encoder_type="nas"), genotype, seed=3)
         np.testing.assert_allclose(a.predict_logits(batch), b.predict_logits(batch))
+
+
+def _walking_logits(model, batch):
+    """The predict path that walked the tree on every call: eval, forward,
+    then ``train(was_training)``."""
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            logits = model.forward(batch)
+    finally:
+        model.train(was_training)
+    return logits.numpy().copy()
+
+
+class TestPredictMode:
+    """Serving skips the module walk for a model already in eval mode."""
+
+    @pytest.fixture(params=["nas", "basic"])
+    def model(self, request, config):
+        # Dropout > 0: a predict that left a layer training would differ.
+        config = config.with_overrides(dropout=0.3)
+        if request.param == "basic":
+            return build_basic_model(config, seed=0)
+        return build_nas_model(config.with_overrides(encoder_type="nas"),
+                               chain_genotype(["std_conv_3", "max_pool_3"]),
+                               seed=0)
+
+    def test_eval_model_predicts_without_walking(self, model, batch,
+                                                 monkeypatch):
+        model.eval()
+        calls = []
+        train = Module.train
+
+        def counting(self, mode=True):
+            calls.append(self)
+            return train(self, mode)
+
+        monkeypatch.setattr(Module, "train", counting)
+        model.predict_proba(batch)
+        assert calls == []
+
+    def test_training_model_comes_back_training(self, model, batch):
+        model.train()
+        model.predict_logits(batch)
+        assert all(module.training for _, module in model.named_modules())
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_logits_equal_the_walking_path(self, model, batch, training):
+        model.train(training)
+        expected = _walking_logits(model, batch)
+        assert np.array_equal(model.predict_logits(batch), expected)
+        assert np.array_equal(model.predict_proba(batch),
+                              1.0 / (1.0 + np.exp(-expected)))
+        assert model.training is training
