@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.data import Batch
 from repro.nn.layers.basic import MLP
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate
 from repro.models.behavior_encoders import BehaviorEncoder
 from repro.models.profile_encoder import ProfileEncoder
 
@@ -20,22 +20,13 @@ class _LogitModel(Module):
     """A model whose ``forward`` scores a batch with one logit per row."""
 
     def predict_logits(self, batch: Batch) -> np.ndarray:
-        """Inference-mode logits as a numpy array (no autograd graph).
+        """Eval-mode logits as a fresh numpy array the caller owns.
 
-        A deployed model is already in eval mode (``train_supervised`` ends
-        with ``model.eval()``), so the module tree is walked only to switch a
-        training-mode model to eval, and back afterwards.
+        This is :meth:`infer`: the numpy arithmetic of an eval-mode
+        ``forward``, bitwise equal to it, with no Tensor, no graph and no
+        change to the model's train/eval mode.
         """
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with no_grad():
-                logits = self.forward(batch)
-        finally:
-            if was_training:
-                self.train()
-        return logits.numpy().copy()
+        return self.infer(batch)
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         """Inference-mode default/click probabilities."""
@@ -67,6 +58,12 @@ class ALTModel(_LogitModel):
         logits = self.head(joint)
         return logits.reshape(len(batch))
 
+    def infer(self, batch: Batch) -> np.ndarray:
+        profile_vec = self.profile_encoder.infer(np.asarray(batch.profiles, dtype=np.float64))
+        behavior_vec = self.behavior_encoder.infer(batch.sequences, mask=batch.mask)
+        logits = self.head.infer(np.concatenate([profile_vec, behavior_vec], axis=1))
+        return logits.reshape(len(batch))
+
     def flops(self, seq_len: int) -> int:
         """Analytical per-sample inference FLOPs (the budget quantity of Eq. 4)."""
         profile = self.profile_encoder.flops()
@@ -89,6 +86,10 @@ class BasicProfileModel(_LogitModel):
         profile_vec = self.profile_encoder(Tensor(batch.profiles))
         logits = self.head(profile_vec)
         return logits.reshape(len(batch))
+
+    def infer(self, batch: Batch) -> np.ndarray:
+        profile_vec = self.profile_encoder.infer(np.asarray(batch.profiles, dtype=np.float64))
+        return self.head.infer(profile_vec).reshape(len(batch))
 
     def flops(self, seq_len: int = 0) -> int:
         return int(self.profile_encoder.flops() + self.head.flops(1))

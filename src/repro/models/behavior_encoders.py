@@ -64,6 +64,10 @@ class LSTMBehaviorEncoder(BehaviorEncoder):
         outputs, _ = self.lstm(embedded)
         return self.pool(outputs, mask=mask)
 
+    def infer(self, sequences: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        outputs, _ = self.lstm.infer(self.embedding.infer(sequences))
+        return self.pool.infer(outputs, mask=mask)
+
     def flops(self, seq_len: int) -> int:
         lookup = seq_len * self.embed_dim
         return lookup + self.lstm.flops(seq_len) + seq_len * self.embed_dim
@@ -90,6 +94,10 @@ class BertBehaviorEncoder(BehaviorEncoder):
         embedded = self.input_norm(self.positional(embedded))
         encoded = self.encoder(self.dropout(embedded), mask=mask)
         return self.pool(encoded, mask=mask)
+
+    def infer(self, sequences: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        embedded = self.input_norm.infer(self.positional.infer(self.embedding.infer(sequences)))
+        return self.pool.infer(self.encoder.infer(embedded, mask=mask), mask=mask)
 
     def flops(self, seq_len: int) -> int:
         lookup = 2 * seq_len * self.embed_dim

@@ -48,6 +48,15 @@ class NASBehaviorEncoder(BehaviorEncoder):
             layer_outputs.append(out)
         return self.output_pool(layer_outputs, mask=mask)
 
+    def infer(self, sequences: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        outputs: List[np.ndarray] = [self.embedding.infer(sequences)]
+        for gene, op in zip(self.genotype.layers, self.ops):
+            out = op.infer(outputs[gene.input_index], mask=mask)
+            for residual in gene.residual_indices:
+                out = out + outputs[residual]
+            outputs.append(out)
+        return self.output_pool.infer(outputs[1:], mask=mask)
+
     def flops(self, seq_len: int) -> int:
         lookup = seq_len * self.embed_dim
         return lookup + self.genotype.flops(seq_len, self.embed_dim)

@@ -30,12 +30,19 @@ class ProfileEncoder(Module):
         self.mlp = MLP([profile_dim, *hidden_dims], activation="relu", dropout=dropout,
                        final_activation=True, rng=rng)
 
-    def forward(self, profiles: Tensor) -> Tensor:
+    def _check(self, profiles) -> None:
         if profiles.shape[-1] != self.profile_dim:
             raise ValueError(
                 f"expected profile vectors of dim {self.profile_dim}, got {profiles.shape[-1]}"
             )
+
+    def forward(self, profiles: Tensor) -> Tensor:
+        self._check(profiles)
         return self.mlp(profiles)
+
+    def infer(self, profiles: np.ndarray) -> np.ndarray:
+        self._check(profiles)
+        return self.mlp.infer(profiles)
 
     def flops(self) -> int:
         """Per-sample FLOPs of the profile branch."""

@@ -67,6 +67,14 @@ class SequenceOp(Module):
             return outputs
         return self.inner(x)
 
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        if self.accepts_mask:
+            return self.inner.infer(x, mask=mask)
+        if isinstance(self.inner, LSTM):
+            outputs, _ = self.inner.infer(x)
+            return outputs
+        return self.inner.infer(x)
+
     def flops(self, seq_len: int) -> int:
         return operation_flops(self.name, seq_len, self.channels)
 

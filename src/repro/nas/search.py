@@ -26,7 +26,7 @@ from repro.nn.layers.basic import MLP, Embedding
 from repro.nn.losses import binary_cross_entropy_with_logits, distillation_loss
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate
 from repro.utils.rng import new_rng
 
 __all__ = ["NASConfig", "NASResult", "SupernetLightModel", "BudgetLimitedNAS"]
@@ -201,7 +201,5 @@ class BudgetLimitedNAS:
     def _loss(self, logits: Tensor, batch: Batch, teacher: Optional[Module]) -> Tensor:
         if teacher is None:
             return binary_cross_entropy_with_logits(logits, batch.labels)
-        with no_grad():
-            teacher_logits = teacher.predict_logits(batch)
-        return distillation_loss(logits, batch.labels, teacher_logits,
+        return distillation_loss(logits, batch.labels, teacher.predict_logits(batch),
                                  delta=self.nas_config.distill_delta)

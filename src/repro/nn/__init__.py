@@ -12,14 +12,12 @@ from repro.nn.data import ArrayDataset, Batch, DataLoader, support_query_split, 
 from repro.nn.flops import InputSpec, estimate_module_flops, format_flops
 from repro.nn.module import Module, ModuleList, Parameter, Sequential, clone_module
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import Tensor, concatenate, stack
 
 __all__ = [
     "Tensor",
     "concatenate",
     "stack",
-    "no_grad",
-    "is_grad_enabled",
     "Module",
     "Parameter",
     "Sequential",

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.layers.basic import Dropout, GELU, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, masked_fill_forward, softmax_forward
 
 __all__ = ["MultiHeadSelfAttention", "TransformerEncoderLayer", "TransformerEncoder"]
 
@@ -35,8 +35,16 @@ class MultiHeadSelfAttention(Module):
         self.out = Linear(dim, dim, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
 
-    def _split_heads(self, x: Tensor, batch: int, seq_len: int) -> Tensor:
+    def _split_heads(self, x, batch: int, seq_len: int):
+        """(B, T, D) -> (B, H, T, head_dim), for a Tensor or an ndarray."""
         return x.reshape(batch, seq_len, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+
+    @staticmethod
+    def _padded(mask: np.ndarray, shape) -> np.ndarray:
+        """``mask`` (B, T) as the (B, H, T, T) score positions that are padded."""
+        invalid = ~np.asarray(mask, dtype=bool)  # (B, T), True where padded
+        invalid = invalid[:, None, None, :]  # broadcast over heads and query positions
+        return np.broadcast_to(invalid, shape)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         batch, seq_len, _ = x.shape
@@ -45,16 +53,24 @@ class MultiHeadSelfAttention(Module):
         v = self._split_heads(self.value(x), batch, seq_len)
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            invalid = ~mask  # (B, T), True where padded
-            invalid = invalid[:, None, None, :]  # broadcast over heads and query positions
-            invalid = np.broadcast_to(invalid, scores.shape)
-            scores = scores.masked_fill(invalid, -1e9)
+            scores = scores.masked_fill(self._padded(mask, scores.shape), -1e9)
         attn = scores.softmax(axis=-1)
         attn = self.dropout(attn)
         context = attn @ v  # (B, H, T, head_dim)
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.dim)
         return self.out(context)
+
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        batch, seq_len, _ = x.shape
+        q = self._split_heads(self.query.infer(x), batch, seq_len)
+        k = self._split_heads(self.key.infer(x), batch, seq_len)
+        v = self._split_heads(self.value.infer(x), batch, seq_len)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
+        if mask is not None:
+            scores = masked_fill_forward(scores, self._padded(mask, scores.shape), -1e9)
+        context = softmax_forward(scores, -1)[0] @ v
+        context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.dim)
+        return self.out.infer(context)
 
     def flops(self, seq_len: int) -> int:
         """FLOPs for one sequence of length ``seq_len``."""
@@ -87,6 +103,11 @@ class TransformerEncoderLayer(Module):
         ff = self.ff2(self.ff_act(self.ff1(x)))
         return self.norm2(x + self.dropout(ff))
 
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        x = self.norm1.infer(x + self.attention.infer(x, mask=mask))
+        ff = self.ff2.infer(self.ff_act.infer(self.ff1.infer(x)))
+        return self.norm2.infer(x + ff)
+
     def flops(self, seq_len: int) -> int:
         attention = self.attention.flops(seq_len)
         ffn = 2 * 2 * seq_len * self.dim * self.ff_dim
@@ -113,6 +134,11 @@ class TransformerEncoder(Module):
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         for layer in self.layers:
             x = layer(x, mask=mask)
+        return x
+
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.infer(x, mask=mask)
         return x
 
     def flops(self, seq_len: int) -> int:

@@ -52,6 +52,15 @@ def affine_backward(grad: np.ndarray, rows: np.ndarray, weight: Tensor,
     return grad @ np.swapaxes(weight.data, -1, -2) if need_rows else None
 
 
+def affine_forward(rows: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """``rows @ weight + bias`` on arrays: the data path of :func:`affine`."""
+    data = rows @ weight
+    if bias is not None:
+        data = data + bias
+    return data
+
+
 def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            rows: Optional[np.ndarray] = None,
            fold: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Tensor:
@@ -63,9 +72,7 @@ def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ``fold``, which maps the gradient wrt ``rows`` onto ``x``.
     """
     rows = x.data if rows is None else rows
-    data = rows @ weight.data
-    if bias is not None:
-        data = data + bias.data
+    data = affine_forward(rows, weight.data, None if bias is None else bias.data)
     out = x._make(data, (x, weight) if bias is None else (x, weight, bias), "affine")
 
     def _backward() -> None:
@@ -95,6 +102,9 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias if self.use_bias else None)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return affine_forward(x, self.weight.data, self.bias.data if self.use_bias else None)
+
     def flops(self, batch_elements: int = 1) -> int:
         """Multiply-add count for ``batch_elements`` rows."""
         per_row = 2 * self.in_features * self.out_features
@@ -117,14 +127,20 @@ class Embedding(Module):
         self.embedding_dim = embedding_dim
         self.weight = Parameter(initializers.normal((num_embeddings, embedding_dim), rng))
 
-    def forward(self, token_ids: np.ndarray) -> Tensor:
+    def _checked(self, token_ids: np.ndarray) -> np.ndarray:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.min() < 0 or token_ids.max() >= self.num_embeddings:
             raise ValueError(
                 f"token ids must lie in [0, {self.num_embeddings}); "
                 f"got range [{token_ids.min()}, {token_ids.max()}]"
             )
-        return self.weight.take_rows(token_ids)
+        return token_ids
+
+    def forward(self, token_ids: np.ndarray) -> Tensor:
+        return self.weight.take_rows(self._checked(token_ids))
+
+    def infer(self, token_ids: np.ndarray) -> np.ndarray:
+        return self.weight.data[self._checked(token_ids)]
 
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"
@@ -140,11 +156,19 @@ class PositionalEmbedding(Module):
         self.max_len = max_len
         self.weight = Parameter(initializers.normal((max_len, embedding_dim), rng))
 
-    def forward(self, x: Tensor) -> Tensor:
-        seq_len = x.shape[1]
+    def _positions(self, seq_len: int) -> np.ndarray:
         if seq_len > self.max_len:
             raise ValueError(f"sequence length {seq_len} exceeds max_len {self.max_len}")
-        positions = self.weight.take_rows(np.arange(seq_len))
+        return np.arange(seq_len)
+
+    def forward(self, x: Tensor) -> Tensor:
+        seq_len = x.shape[1]
+        positions = self.weight.take_rows(self._positions(seq_len))
+        return x + positions.reshape(1, seq_len, -1)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        seq_len = x.shape[1]
+        positions = self.weight.data[self._positions(seq_len)]
         return x + positions.reshape(1, seq_len, -1)
 
 
@@ -165,6 +189,15 @@ class LayerNorm(Module):
         normalized = centered / ((variance + self.eps) ** 0.5)
         return normalized * self.gamma + self.beta
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # Tensor.mean is a sum times the reciprocal of the count.
+        scale = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True) * scale
+        centered = x - mean
+        variance = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        normalized = centered / ((variance + self.eps) ** 0.5)
+        return normalized * self.gamma.data + self.beta.data
+
 
 class Dropout(Module):
     """Inverted dropout; identity when the module is in eval mode."""
@@ -182,10 +215,16 @@ class Dropout(Module):
         mask = (self._rng.random(x.shape) >= self.p).astype(np.float64) / (1.0 - self.p)
         return x * Tensor(mask)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x
+
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x * (x > 0)
 
 
 class GELU(Module):
@@ -195,19 +234,32 @@ class GELU(Module):
         inner = (x + (x ** 3) * 0.044715) * 0.7978845608028654
         return x * 0.5 * (inner.tanh() + 1.0)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        inner = (x + (x ** 3) * 0.044715) * 0.7978845608028654
+        return x * 0.5 * (np.tanh(inner) + 1.0)
+
 
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-x))
+
 
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x
 
 
@@ -236,6 +288,9 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.net.infer(x)
 
     def flops(self, batch_elements: int = 1) -> int:
         total = 0

@@ -10,7 +10,8 @@ Each layer is one autograd node.  The forward zero-pads the input into a
 fresh array and reads its K shifted windows; the backward adds each
 window's gradient back into a zeroed padded buffer, offsets in descending
 order (the order in which a scatter-add over unfolded windows adds into a
-position), so every sum rounds the same way.
+position), so every sum rounds the same way.  ``infer`` runs the same
+padding, window reads and matmul on an ndarray.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.nn import init as initializers
-from repro.nn.layers.basic import affine
+from repro.nn.layers.basic import affine, affine_forward
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -88,26 +89,37 @@ class Conv1d(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_channels))
 
-    def forward(self, x: Tensor) -> Tensor:
-        batch, seq_len, channels = x.shape
+    def _rows(self, data: np.ndarray) -> np.ndarray:
+        """The matmul operand for a (B, T, C) input: the input itself for
+        kernel 1, else row t holds the K dilated steps of window t (B, T, K*C)."""
+        batch, seq_len, channels = data.shape
         if channels != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {channels}")
+        kernel, dilation = self.kernel_size, self.dilation
+        if kernel == 1:
+            return data
+        taps = np.arange(seq_len)[:, None] + dilation * np.arange(kernel)
+        rows = np.take(_pad(data, *_same_padding(kernel, dilation)), taps.reshape(-1), axis=1)
+        return rows.reshape(batch, seq_len, kernel * channels)
+
+    def forward(self, x: Tensor) -> Tensor:
+        rows = self._rows(x.data)
         bias = self.bias if self.use_bias else None
         if self.kernel_size == 1:
             return affine(x, self.weight, bias)
         kernel, dilation = self.kernel_size, self.dilation
-        left, right = _same_padding(kernel, dilation)
-        # Row t of the operand is the K dilated steps of window t: (B, T, K*C).
-        taps = np.arange(seq_len)[:, None] + dilation * np.arange(kernel)
-        rows = np.take(_pad(x.data, left, right), taps.reshape(-1), axis=1)
-        rows = rows.reshape(batch, seq_len, kernel * channels)
+        left = _same_padding(kernel, dilation)[0]
 
         def fold(grad: np.ndarray) -> np.ndarray:
-            windows = grad.reshape(batch, seq_len, kernel, channels)
+            windows = grad.reshape(*x.shape[:2], kernel, self.in_channels)
             return _fold_windows([windows[:, :, k] for k in range(kernel)], dilation,
                                  left, x.shape)
 
         return affine(x, self.weight, bias, rows, fold)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return affine_forward(self._rows(x), self.weight.data,
+                              self.bias.data if self.use_bias else None)
 
     def flops(self, seq_len: int) -> int:
         """FLOPs for one sequence of length ``seq_len`` (multiply-adds counted as 2)."""
@@ -130,24 +142,31 @@ class AvgPool1d(Module):
             raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
 
-    def forward(self, x: Tensor) -> Tensor:
-        kernel, length = self.kernel_size, x.shape[1]
-        left, right = _same_padding(kernel, 1)
-        padded = _pad(x.data, left, right)
+    def _pool(self, data: np.ndarray) -> np.ndarray:
+        kernel, length = self.kernel_size, data.shape[1]
+        padded = _pad(data, *_same_padding(kernel, 1))
         # numpy's sum over a window axis starts from +0.0 (a window of -0.0
         # sums to +0.0), so this one does too.
         total = 0.0
         for k in range(kernel):
             total = total + padded[:, k:k + length]
-        out = x._make(total * (1.0 / kernel), (x,), "avg_pool1d")
+        return total * (1.0 / kernel)
+
+    def forward(self, x: Tensor) -> Tensor:
+        kernel = self.kernel_size
+        out = x._make(self._pool(x.data), (x,), "avg_pool1d")
 
         def _backward() -> None:
             share = out.grad * (1.0 / kernel)
-            x._accumulate(_fold_windows([share] * kernel, 1, left, x.shape))
+            x._accumulate(_fold_windows([share] * kernel, 1, _same_padding(kernel, 1)[0],
+                                        x.shape))
 
         if out.requires_grad:
             out._backward = _backward
         return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._pool(x)
 
     def flops(self, seq_len: int, channels: int) -> int:
         return self.kernel_size * channels * seq_len
@@ -165,13 +184,18 @@ class MaxPool1d(Module):
             raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
 
-    def forward(self, x: Tensor) -> Tensor:
-        kernel, length = self.kernel_size, x.shape[1]
-        left, right = _same_padding(kernel, 1)
-        padded = _pad(x.data, left, right)
+    def _pool(self, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pooled (B, T, C) values and the padded input they were read from."""
+        kernel, length = self.kernel_size, data.shape[1]
+        padded = _pad(data, *_same_padding(kernel, 1))
         peak = padded[:, 0:length]
         for k in range(1, kernel):
             peak = np.maximum(peak, padded[:, k:k + length])
+        return peak, padded
+
+    def forward(self, x: Tensor) -> Tensor:
+        kernel, length = self.kernel_size, x.shape[1]
+        peak, padded = self._pool(x.data)
         out = x._make(peak, (x,), "max_pool1d")
 
         def _backward() -> None:
@@ -180,11 +204,14 @@ class MaxPool1d(Module):
             wins = [padded[:, k:k + length] == out.data for k in range(kernel)]
             counts = np.sum(wins, axis=0)
             x._accumulate(_fold_windows([win * out.grad / counts for win in wins], 1,
-                                        left, x.shape))
+                                        _same_padding(kernel, 1)[0], x.shape))
 
         if out.requires_grad:
             out._backward = _backward
         return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._pool(x)[0]
 
     def flops(self, seq_len: int, channels: int) -> int:
         return self.kernel_size * channels * seq_len

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.layers.basic import Linear, affine_backward
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, _sum_to_shape, softmax_backward, softmax_forward
+from repro.nn.tensor import (Tensor, _sum_to_shape, masked_fill_forward, softmax_backward,
+                              softmax_forward)
 
 __all__ = ["MaskedMeanPool", "LastStepPool", "AttentiveLayerSum", "AttentiveTimePool"]
 
@@ -24,17 +25,30 @@ class MaskedMeanPool(Module):
         counts = Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
         return (x * weights).sum(axis=1) / counts
 
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        if mask is None:
+            return x.sum(axis=1) * (1.0 / x.shape[1])  # Tensor.mean
+        mask = np.asarray(mask, dtype=np.float64)
+        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        return (x * mask[:, :, None]).sum(axis=1) / counts
+
 
 class LastStepPool(Module):
     """Take the representation of the last valid time step."""
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    @staticmethod
+    def _index(mask: Optional[np.ndarray], batch: int) -> tuple:
         if mask is None:
-            return x[:, -1, :]
+            return (slice(None), -1, slice(None))
         mask = np.asarray(mask, dtype=np.float64)
         last = np.maximum(mask.sum(axis=1).astype(np.int64) - 1, 0)
-        batch_idx = np.arange(x.shape[0])
-        return x[batch_idx, last, :]
+        return (np.arange(batch), last, slice(None))
+
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        return x[self._index(mask, x.shape[0])]
+
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        return x[self._index(mask, x.shape[0])]
 
 
 class AttentiveTimePool(Module):
@@ -51,6 +65,13 @@ class AttentiveTimePool(Module):
             scores = scores.masked_fill(invalid[:, :, None], -1e9)
         weights = scores.softmax(axis=1)
         return (x * weights).sum(axis=1)
+
+    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        scores = self.score.infer(x)
+        if mask is not None:
+            invalid = ~np.asarray(mask, dtype=bool)
+            scores = masked_fill_forward(scores, invalid[:, :, None], -1e9)
+        return (x * softmax_forward(scores, 1)[0]).sum(axis=1)
 
     def flops(self, seq_len: int) -> int:
         return self.score.flops(seq_len) + 4 * seq_len
@@ -70,17 +91,20 @@ class AttentiveLayerSum(Module):
         self.num_layers = num_layers
         self.score = Linear(dim, 1, rng=rng)
 
-    def forward(self, layer_outputs: List[Tensor], mask: Optional[np.ndarray] = None) -> Tensor:
+    def _combine(self, layer_outputs: List[np.ndarray], mask: Optional[np.ndarray]
+                 ) -> Tuple[np.ndarray, tuple]:
+        """The pooled (B, D) output and the intermediates its backward reads."""
         if not layer_outputs:
             raise ValueError("AttentiveLayerSum requires at least one layer output")
-        weight, bias = self.score.weight, self.score.bias
         # (L, B, T, D) -> layer summaries (L, B, D) -> scores (L, B, 1)
-        stacked = np.stack([t.data for t in layer_outputs])
+        stacked = np.stack(layer_outputs)
         n_layers, _, steps, _ = stacked.shape
         summaries = stacked.sum(axis=2) * (1.0 / steps)
-        weights, exp, den = softmax_forward(summaries @ weight.data + bias.data, 0)
+        weights, exp, den = softmax_forward(
+            summaries @ self.score.weight.data + self.score.bias.data, 0)
         scale = weights.reshape(n_layers, -1, 1, 1)
         combined = (stacked * scale).sum(axis=0)  # (B, T, D)
+        valid = counts = None
         if mask is None:
             data = combined.sum(axis=1) * (1.0 / steps)
         else:
@@ -88,6 +112,13 @@ class AttentiveLayerSum(Module):
             valid = mask_arr[:, :, None]
             counts = np.maximum(mask_arr.sum(axis=1, keepdims=True), 1.0)
             data = (combined * valid).sum(axis=1) / counts
+        return data, (stacked, summaries, weights, exp, den, scale, combined, valid, counts)
+
+    def forward(self, layer_outputs: List[Tensor], mask: Optional[np.ndarray] = None) -> Tensor:
+        weight, bias = self.score.weight, self.score.bias
+        data, saved = self._combine([t.data for t in layer_outputs], mask)
+        stacked, summaries, weights, exp, den, scale, combined, valid, counts = saved
+        steps = stacked.shape[2]
         out = layer_outputs[0]._make(data, (*layer_outputs, weight, bias), "attentive_layer_sum")
 
         def _backward() -> None:
@@ -113,6 +144,10 @@ class AttentiveLayerSum(Module):
         if out.requires_grad:
             out._backward = _backward
         return out
+
+    def infer(self, layer_outputs: List[np.ndarray], mask: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        return self._combine(layer_outputs, mask)[0]
 
     def flops(self, seq_len: int, dim: int) -> int:
         per_layer = seq_len * dim + self.score.flops(1)

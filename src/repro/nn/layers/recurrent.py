@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn import init as initializers
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 __all__ = ["LSTMCell", "LSTM"]
 
@@ -81,9 +81,52 @@ class LSTM(Module):
             final_states.append(state)
         return sequence, final_states
 
+    def infer(self, x: np.ndarray) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+        steps = [x[:, t, :] for t in range(x.shape[1])]
+        final_states: List[Tuple[np.ndarray, np.ndarray]] = []
+        for cell in self.cells:
+            steps, h, c = _lstm_steps(cell, steps)
+            final_states.append((h, c))
+        return np.stack(steps, axis=1), final_states
+
     def flops(self, seq_len: int) -> int:
         """FLOPs for one sequence of length ``seq_len``."""
         return sum(cell.flops() for cell in self.cells) * seq_len
+
+
+def _lstm_steps(cell: LSTMCell, steps: List[np.ndarray],
+                saved: Optional[List[Tuple[np.ndarray, ...]]] = None
+                ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """Step ``cell`` over the (B, C) inputs ``steps`` from a zero state.
+
+    Returns each step's (B, H) output and the final ``h`` and ``c``; with
+    ``saved``, each step's gate activations and previous ``c`` are appended
+    to it for the backward.  These are the numpy calls of
+    :meth:`LSTMCell.forward` in the same order, except that one sigmoid runs
+    over all four packed gates (it is elementwise, so the i, f and o columns
+    are bitwise those of a sigmoid over each slice) and g's tanh then
+    overwrites its columns: a step keeps one (B, 4H) array of activations,
+    no more than the four gates.
+    """
+    w_ih, w_hh, bias = cell.weight_ih.data, cell.weight_hh.data, cell.bias.data
+    hidden = cell.hidden_size
+    batch = len(steps[0])
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    outputs: List[np.ndarray] = []
+    for x_t in steps:
+        gates = x_t @ w_ih + h @ w_hh + bias
+        acts = 1.0 / (1.0 + np.exp(-gates))
+        i_gate, f_gate = acts[:, 0 * hidden:1 * hidden], acts[:, 1 * hidden:2 * hidden]
+        g_gate, o_gate = acts[:, 2 * hidden:3 * hidden], acts[:, 3 * hidden:4 * hidden]
+        g_gate[...] = np.tanh(gates[:, 2 * hidden:3 * hidden])
+        c_new = f_gate * c + i_gate * g_gate
+        tanh_c = np.tanh(c_new)
+        if saved is not None:
+            saved.append((i_gate, f_gate, g_gate, o_gate, c, tanh_c))
+        h, c = o_gate * tanh_c, c_new
+        outputs.append(h)
+    return outputs, h, c
 
 
 def _lstm_layer(cell: LSTMCell, inputs: Tensor, steps: List[np.ndarray]
@@ -96,35 +139,20 @@ def _lstm_layer(cell: LSTMCell, inputs: Tensor, steps: List[np.ndarray]
     would.  Returns the output sequence (B, T, H), its per-step (B, H)
     arrays (the next layer's ``steps``) and the final ``(h, c)``.
 
-    The forward makes the numpy calls of :meth:`LSTMCell.forward` in the
-    same order, so its outputs are bitwise equal to stepping the cell.  When
-    a graph is built it keeps each step's gate activations for a hand-written
-    backprop through time that accumulates each parameter's gradient once.
-    The final ``h`` and ``c`` are nodes whose child is the sequence node, so
-    their gradients are complete when the sequence node's backward reads
-    them.
+    The forward is :func:`_lstm_steps`, so its outputs are bitwise equal to
+    stepping the cell.  A graph is built when an input or the cell's
+    parameters require grad: the forward then keeps each step's gate
+    activations for a hand-written backprop through time that accumulates
+    each parameter's gradient once.  The final ``h`` and ``c`` are nodes
+    whose child is the sequence node, so their gradients are complete when
+    the sequence node's backward reads them.
     """
     w_ih, w_hh, bias = cell.weight_ih, cell.weight_hh, cell.bias
     hidden = cell.hidden_size
-    requires = is_grad_enabled() and any(
-        t.requires_grad for t in (inputs, w_ih, w_hh, bias))
+    requires = any(t.requires_grad for t in (inputs, w_ih, w_hh, bias))
     batch = len(steps[0])
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    outputs: List[np.ndarray] = []
     saved: List[Tuple[np.ndarray, ...]] = []
-    for x_t in steps:
-        gates = x_t @ w_ih.data + h @ w_hh.data + bias.data
-        i_gate = 1.0 / (1.0 + np.exp(-gates[:, 0 * hidden:1 * hidden]))
-        f_gate = 1.0 / (1.0 + np.exp(-gates[:, 1 * hidden:2 * hidden]))
-        g_gate = np.tanh(gates[:, 2 * hidden:3 * hidden])
-        o_gate = 1.0 / (1.0 + np.exp(-gates[:, 3 * hidden:4 * hidden]))
-        c_new = f_gate * c + i_gate * g_gate
-        tanh_c = np.tanh(c_new)
-        if requires:
-            saved.append((i_gate, f_gate, g_gate, o_gate, c, tanh_c))
-        h, c = o_gate * tanh_c, c_new
-        outputs.append(h)
+    outputs, h, c = _lstm_steps(cell, steps, saved if requires else None)
     sequence = Tensor(np.stack(outputs, axis=1), requires_grad=requires,
                       _children=(inputs, w_ih, w_hh, bias) if requires else (), _op="lstm")
     final_children = (sequence,) if requires else ()

@@ -135,6 +135,15 @@ class Module:
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def infer(self, *args, **kwargs):
+        """:meth:`forward` on ndarrays in place of Tensors, as in eval mode.
+
+        It makes the numpy calls of ``forward``'s data path in the same
+        order, so its outputs are bitwise equal, and builds no Tensor and no
+        graph.  Dropout is the identity, whatever the module's mode.
+        """
+        raise NotImplementedError(f"{type(self).__name__} defines no infer")
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -172,6 +181,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for name in self._order:
             x = self._modules[name](x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for name in self._order:
+            x = self._modules[name].infer(x)
         return x
 
 

@@ -5,7 +5,11 @@ the GDAS supernet, distillation, meta-learning) is built on the :class:`Tensor`
 defined here.  The design follows the familiar define-by-run style: every
 operation records a backward closure and the parents it depends on; calling
 :meth:`Tensor.backward` runs a topological sort and accumulates gradients into
-``tensor.grad`` (a plain ``numpy.ndarray``).
+``tensor.grad`` (a plain ``numpy.ndarray``).  An operation records its graph
+exactly when one of its inputs requires grad; there is no grad mode, so the
+engine keeps no state shared between threads.  Inference does not come here:
+each module's ``infer`` makes the numpy calls of its ``forward`` on plain
+arrays.
 
 Broadcasting is fully supported: gradients flowing into a broadcast operand are
 summed back to the operand's original shape.
@@ -19,29 +23,7 @@ import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-__all__ = ["Tensor", "concatenate", "stack", "no_grad", "is_grad_enabled"]
-
-
-_GRAD_ENABLED = True
-
-
-class no_grad:
-    """Context manager that disables graph construction (like ``torch.no_grad``)."""
-
-    def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return True when operations should record the autograd graph."""
-    return _GRAD_ENABLED
+__all__ = ["Tensor", "concatenate", "stack"]
 
 
 def _sum_to_shape(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -80,9 +62,9 @@ class Tensor:
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad = bool(requires_grad)
         self._backward: Callable[[], None] = lambda: None
-        self._prev: Tuple[Tensor, ...] = tuple(_children) if is_grad_enabled() else ()
+        self._prev: Tuple[Tensor, ...] = tuple(_children)
         self._op = _op
 
     # ------------------------------------------------------------------ #
@@ -163,7 +145,7 @@ class Tensor:
 
     @staticmethod
     def _needs_graph(*tensors: "Tensor") -> bool:
-        return is_grad_enabled() and any(t.requires_grad for t in tensors)
+        return any(t.requires_grad for t in tensors)
 
     def _make(self, data: np.ndarray, children: Sequence["Tensor"], op: str) -> "Tensor":
         requires = self._needs_graph(*children)
@@ -532,6 +514,12 @@ class Tensor:
         return self * keep + fill
 
 
+def masked_fill_forward(x: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
+    """The data path of :meth:`Tensor.masked_fill`: ``x * keep + fill``."""
+    mask = np.asarray(mask, dtype=bool)
+    return x * (~mask).astype(np.float64) + mask.astype(np.float64) * value
+
+
 def softmax_forward(x: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(probs, exp, den)`` of a softmax over ``axis``: shift by the max, exp, sum, divide."""
     exp = np.exp(x - x.max(axis=axis, keepdims=True))
@@ -554,7 +542,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing back to each input."""
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _children=tuple(tensors) if requires else (), _op="concat")
 
     sizes = [t.data.shape[axis] for t in tensors]
@@ -577,7 +565,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
     tensors = list(tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
-    requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _children=tuple(tensors) if requires else (), _op="stack")
 
     def _backward() -> None:

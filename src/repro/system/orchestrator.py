@@ -103,49 +103,53 @@ class ALTSystem:
     # ------------------------------------------------------------------ #
     def add_scenario(self, scenario: ScenarioData, evaluate: bool = True) -> ScenarioArtifacts:
         """Run the automatic pipeline for one (new or initial) scenario and deploy it."""
-        specific = self._require_specific()
-        record = self.registry.register(scenario.scenario_id, scenario.name,
-                                        is_initial=scenario.scenario_id in self.initial_scenario_ids)
-        self.registry.set_status(scenario.scenario_id, ScenarioStatus.TRAINING, "pipeline started")
-        try:
-            artifacts = specific.build(
-                scenario.scenario_id,
-                scenario.train,
-                scenario.test if evaluate else None,
-            )
-        except Exception:
-            self.registry.set_status(scenario.scenario_id, ScenarioStatus.FAILED, "pipeline failed")
-            raise
-        self.artifacts[scenario.scenario_id] = artifacts
-        self.server.deploy(scenario.scenario_id, artifacts.light_model, flops=artifacts.light_flops,
-                           metadata={"genotype": artifacts.genotype.to_dict()})
-        self.registry.set_status(scenario.scenario_id, ScenarioStatus.SERVING, "light model deployed")
-        if artifacts.light_auc is not None:
-            self.registry.record_metric(scenario.scenario_id, "light_auc", artifacts.light_auc)
-        if artifacts.heavy_auc is not None:
-            self.registry.record_metric(scenario.scenario_id, "heavy_auc", artifacts.heavy_auc)
-        self.registry.record_metric(scenario.scenario_id, "light_flops", artifacts.light_flops)
-        record.log(f"pipeline finished in {artifacts.pipeline_seconds:.2f}s")
-        return artifacts
+        return self.add_scenarios([scenario], evaluate=evaluate)[0]
 
     def add_scenarios(self, scenarios: Sequence[ScenarioData], evaluate: bool = True
                       ) -> List[ScenarioArtifacts]:
-        """Handle several simultaneously arriving scenarios (aggregated feedback)."""
+        """Run the pipeline for scenarios arriving together and deploy each.
+
+        One scenario runs :meth:`ScenarioSpecificModule.build`; several run
+        ``build_many``, which sends their feedback to the agnostic model as
+        one aggregated update (Eq. 3).  Either way each scenario is deployed
+        and recorded the same way; if the pipeline raises, every one of them
+        is marked FAILED.
+        """
         specific = self._require_specific()
-        payload = []
         for scenario in scenarios:
-            self.registry.register(scenario.scenario_id, scenario.name)
-            self.registry.set_status(scenario.scenario_id, ScenarioStatus.TRAINING, "batch pipeline started")
-            payload.append((scenario.scenario_id, scenario.train,
-                            scenario.test if evaluate else None))
-        results = specific.build_many(payload)
-        for scenario, artifacts in zip(scenarios, results):
-            self.artifacts[scenario.scenario_id] = artifacts
-            self.server.deploy(scenario.scenario_id, artifacts.light_model,
-                               flops=artifacts.light_flops)
-            self.registry.set_status(scenario.scenario_id, ScenarioStatus.SERVING,
-                                     "light model deployed")
+            self.registry.register(scenario.scenario_id, scenario.name,
+                                   is_initial=scenario.scenario_id in self.initial_scenario_ids)
+            self.registry.set_status(scenario.scenario_id, ScenarioStatus.TRAINING, "pipeline started")
+        payload = [(scenario.scenario_id, scenario.train, scenario.test if evaluate else None)
+                   for scenario in scenarios]
+        try:
+            if len(payload) == 1:
+                results = [specific.build(*payload[0])]
+            else:
+                results = specific.build_many(payload)
+        except Exception:
+            for scenario in scenarios:
+                self.registry.set_status(scenario.scenario_id, ScenarioStatus.FAILED,
+                                         "pipeline failed")
+            raise
+        for artifacts in results:
+            self._deploy(artifacts)
         return results
+
+    def _deploy(self, artifacts: ScenarioArtifacts) -> None:
+        """Serve a scenario's light model and record what its pipeline produced."""
+        scenario_id = artifacts.scenario_id
+        self.artifacts[scenario_id] = artifacts
+        self.server.deploy(scenario_id, artifacts.light_model, flops=artifacts.light_flops,
+                           metadata={"genotype": artifacts.genotype.to_dict()})
+        self.registry.set_status(scenario_id, ScenarioStatus.SERVING, "light model deployed")
+        if artifacts.light_auc is not None:
+            self.registry.record_metric(scenario_id, "light_auc", artifacts.light_auc)
+        if artifacts.heavy_auc is not None:
+            self.registry.record_metric(scenario_id, "heavy_auc", artifacts.heavy_auc)
+        self.registry.record_metric(scenario_id, "light_flops", artifacts.light_flops)
+        self.registry.get(scenario_id).log(
+            f"pipeline finished in {artifacts.pipeline_seconds:.2f}s")
 
     # ------------------------------------------------------------------ #
     # Serving / reporting

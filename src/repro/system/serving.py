@@ -7,6 +7,8 @@ inference-time reporting can be produced from the serving layer itself.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -17,7 +19,6 @@ from repro.exceptions import ModelNotDeployedError
 from repro.nn.data import Batch
 from repro.nn.module import Module
 from repro.utils.serialization import save_state
-from repro.utils.timer import Timer
 
 __all__ = ["Deployment", "ModelServer"]
 
@@ -40,7 +41,9 @@ class ModelServer:
         self._deployments: Dict[int, Deployment] = {}
         self._versions: Dict[int, int] = {}
         self._history: List[Deployment] = []
-        self.timer = Timer()
+        # Per scenario: [requests served, their total seconds].
+        self._latency: Dict[int, List[float]] = {}
+        self._latency_lock = threading.Lock()
         self.storage_dir = Path(storage_dir) if storage_dir else None
 
     # ------------------------------------------------------------------ #
@@ -85,18 +88,22 @@ class ModelServer:
     def predict(self, scenario_id: int, batch: Batch) -> np.ndarray:
         """Score a batch with the scenario's deployed model, tracking latency."""
         deployment = self.deployment(scenario_id)
-        with self.timer.measure(f"scenario_{scenario_id}"):
-            scores = deployment.model.predict_proba(batch)
-        return scores
+        start = time.perf_counter()
+        try:
+            return deployment.model.predict_proba(batch)
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._latency_lock:
+                stats = self._latency.setdefault(scenario_id, [0, 0.0])
+                stats[0] += 1
+                stats[1] += elapsed
 
     def mean_latency_ms(self, scenario_id: int) -> float:
-        return self.timer.mean_ms(f"scenario_{scenario_id}")
+        with self._latency_lock:
+            count, total = self._latency.get(scenario_id, (0, 0.0))
+        return total / count * 1000.0 if count else 0.0
 
     def latency_report(self) -> Dict[int, float]:
         """Mean serving latency (ms) per scenario that has received traffic."""
-        report: Dict[int, float] = {}
-        for scenario_id in self._deployments:
-            name = f"scenario_{scenario_id}"
-            if self.timer.count(name):
-                report[scenario_id] = self.timer.mean_ms(name)
-        return report
+        return {scenario_id: self.mean_latency_ms(scenario_id)
+                for scenario_id in self._deployments if scenario_id in self._latency}

@@ -1,15 +1,12 @@
-"""Shared utilities: deterministic RNG handling, timing and serialization."""
+"""Shared utilities: deterministic RNG handling and serialization."""
 
 from repro.utils.rng import child_rng, new_rng, spawn_rngs
 from repro.utils.serialization import load_json, load_state, save_json, save_state
-from repro.utils.timer import Timer, timed
 
 __all__ = [
     "new_rng",
     "child_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "save_state",
     "load_state",
     "save_json",

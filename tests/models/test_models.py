@@ -13,7 +13,7 @@ from repro.models.profile_encoder import ProfileEncoder
 from repro.nas.genotype import chain_genotype
 from repro.nn.data import Batch
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @pytest.fixture
@@ -142,8 +142,7 @@ def _walking_logits(model, batch):
     was_training = model.training
     model.eval()
     try:
-        with no_grad():
-            logits = model.forward(batch)
+        logits = model.forward(batch)
     finally:
         model.train(was_training)
     return logits.numpy().copy()

@@ -21,7 +21,7 @@ from repro.nn.layers.conv import AvgPool1d, Conv1d, MaxPool1d
 from repro.nn.layers.pooling import AttentiveLayerSum
 from repro.nn.losses import binary_cross_entropy_with_logits, distillation_loss, soft_binary_cross_entropy
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.system.agnostic_module import AgnosticInitConfig
 from repro.system.orchestrator import ALTSystem, ALTSystemConfig
 from repro.system.specific_module import SpecificBuildConfig
@@ -296,18 +296,15 @@ class TestGradientsAndGraph:
             numeric = numerical_grad(param_loss, param.data.copy())
             np.testing.assert_allclose(param.grad, numeric, atol=1e-6, err_msg=pname)
 
-    @pytest.mark.parametrize("mode", ["no_grad", "nothing_requires_grad"])
+    # The id names the case: no input and no parameter requires grad.
+    @pytest.mark.parametrize("mode", ["nothing_requires_grad"])
     @pytest.mark.parametrize("name", LAYER_CASES)
     def test_no_graph_without_grad(self, name, mode):
         layer, fn = layer_cases()[name]
         x_data = np.random.default_rng(3).normal(size=(2, 4, 3))
-        if mode == "no_grad":
-            with no_grad():
-                out = fn(Tensor(x_data, requires_grad=True))
-        else:
-            for param in layer.parameters():
-                param.requires_grad = False
-            out = fn(Tensor(x_data))
+        for param in layer.parameters():
+            param.requires_grad = False
+        out = fn(Tensor(x_data))
         assert not out.requires_grad
         assert out._prev == ()
         assert out._backward.__closure__ is None  # the default no-op: nothing saved

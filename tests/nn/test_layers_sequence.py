@@ -8,7 +8,7 @@ import pytest
 from repro.nn.layers.attention import MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer
 from repro.nn.layers.pooling import AttentiveLayerSum, AttentiveTimePool, LastStepPool, MaskedMeanPool
 from repro.nn.layers.recurrent import LSTM, LSTMCell
-from repro.nn.tensor import Tensor, no_grad, stack
+from repro.nn.tensor import Tensor, stack
 from test_tensor import numerical_grad
 
 
@@ -144,17 +144,14 @@ class TestFusedLSTM:
             numeric = numerical_grad(param_loss, param.data.copy())
             np.testing.assert_allclose(param.grad, numeric, atol=1e-6, err_msg=name)
 
-    @pytest.mark.parametrize("mode", ["no_grad", "nothing_requires_grad"])
+    # The id names the case: no input and no parameter requires grad.
+    @pytest.mark.parametrize("mode", ["nothing_requires_grad"])
     def test_no_graph_without_grad(self, mode):
         lstm = LSTM(3, 4, num_layers=2, rng=np.random.default_rng(0))
         x_data = np.random.default_rng(1).normal(size=(2, 5, 3))
-        if mode == "no_grad":
-            with no_grad():
-                sequence, final_states = lstm(Tensor(x_data, requires_grad=True))
-        else:
-            for param in lstm.parameters():
-                param.requires_grad = False
-            sequence, final_states = lstm(Tensor(x_data))
+        for param in lstm.parameters():
+            param.requires_grad = False
+        sequence, final_states = lstm(Tensor(x_data))
         for out in [sequence] + [t for state in final_states for t in state]:
             assert not out.requires_grad
             assert out._prev == ()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import Tensor, concatenate, stack
 
 import op_graph
 
@@ -182,14 +182,6 @@ class TestCompositeOps:
 
 
 class TestGraphControl:
-    def test_no_grad_disables_graph(self):
-        with no_grad():
-            assert not is_grad_enabled()
-            t = Tensor([1.0], requires_grad=True)
-            out = t * 2.0
-            assert not out.requires_grad
-        assert is_grad_enabled()
-
     def test_detach_cuts_graph(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         out = (t.detach() * 3.0).sum()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.models.factory import build_model
 from repro.nas.search import NASConfig
 from repro.system.agnostic_module import AgnosticInitConfig, ScenarioAgnosticModule
 from repro.system.orchestrator import ALTSystem, ALTSystemConfig
+from repro.system.scenario import ScenarioStatus
 from repro.system.serving import ModelServer
 from repro.system.specific_module import ScenarioSpecificModule, SpecificBuildConfig
 from repro.training.trainer import TrainingConfig, train_supervised
@@ -41,6 +45,35 @@ class TestModelServer:
         assert scores.shape == (len(batch),)
         assert server.mean_latency_ms(1) > 0
         assert 1 in server.latency_report()
+
+    def test_latency_is_reported_only_for_served_scenarios(self, model_config, tiny_collection):
+        server = ModelServer()
+        server.deploy(1, build_model(model_config, seed=0))
+        server.deploy(2, build_model(model_config, seed=1))
+        batch = tiny_collection.get(1).test.batch([0])
+        for _ in range(3):
+            server.predict(2, batch)
+        assert server.mean_latency_ms(1) == 0.0
+        assert server.mean_latency_ms(2) > 0
+        assert server.latency_report() == {2: server.mean_latency_ms(2)}
+
+    def test_concurrent_predictions_are_all_counted(self, model_config, tiny_collection):
+        server = ModelServer()
+        server.deploy(1, build_model(model_config, seed=0))
+        batch = tiny_collection.get(1).test.batch([0])
+        threads = [threading.Thread(target=lambda: [server.predict(1, batch) for _ in range(200)])
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert server._latency[1][0] == 800  # a lost update would undercount
 
     def test_versions_increment(self, model_config):
         server = ModelServer()
@@ -155,6 +188,56 @@ class TestALTSystem:
         assert summary["num_serving"] == 1
         assert summary["mean_pipeline_seconds"] > 0
         assert artifacts.light_flops <= artifacts.flops_budget + artifacts.heavy_flops
+
+    @staticmethod
+    def _initialised(model_config, collection) -> ALTSystem:
+        config = ALTSystemConfig(
+            model=model_config,
+            init=AgnosticInitConfig(strategy="predesigned", final_epochs=1, batch_size=32),
+            fine_tune=FAST_FINETUNE,
+            specific=SpecificBuildConfig(nas=FAST_NAS, distillation=FAST_DISTILL),
+        )
+        system = ALTSystem(config, rng=np.random.default_rng(0))
+        system.initialize(collection, initial_ids=[1, 2])
+        return system
+
+    def test_batch_of_arrivals_records_what_single_arrivals_record(self, model_config,
+                                                                   tiny_collection):
+        single = self._initialised(model_config, tiny_collection)
+        for sid in (3, 4):
+            single.add_scenario(tiny_collection.get(sid))
+        batched = self._initialised(model_config, tiny_collection)
+        learner = batched.agnostic.require_meta_learner()
+        updates = learner.num_feedback_updates
+        results = batched.add_scenarios([tiny_collection.get(3), tiny_collection.get(4)])
+        assert learner.num_feedback_updates == updates + 1
+        assert [a.scenario_id for a in results] == [3, 4]
+        for sid in (3, 4):
+            want, got = single.registry.get(sid), batched.registry.get(sid)
+            assert got.status is want.status is ScenarioStatus.SERVING
+            assert got.is_initial is want.is_initial is False
+            assert sorted(got.metrics) == sorted(want.metrics) == ["heavy_auc", "light_auc",
+                                                                   "light_flops"]
+            assert [e.split(" in ")[0] for e in got.events] == \
+                [e.split(" in ")[0] for e in want.events] == \
+                ["pipeline started", "light model deployed", "pipeline finished"]
+            assert batched.server.deployment(sid).metadata == {
+                "genotype": batched.artifacts[sid].genotype.to_dict()}
+            assert set(single.server.deployment(sid).metadata) == {"genotype"}
+
+    def test_failed_batch_marks_every_scenario_failed(self, model_config, tiny_collection,
+                                                      monkeypatch):
+        system = self._initialised(model_config, tiny_collection)
+
+        def broken(payload):
+            raise RuntimeError("pipeline broke")
+
+        monkeypatch.setattr(system.specific, "build_many", broken)
+        with pytest.raises(RuntimeError, match="pipeline broke"):
+            system.add_scenarios([tiny_collection.get(3), tiny_collection.get(4)])
+        for sid in (3, 4):
+            assert system.registry.get(sid).status is ScenarioStatus.FAILED
+            assert not system.server.is_deployed(sid)
 
     def test_add_scenario_before_initialize_raises(self, model_config, tiny_collection):
         system = ALTSystem(ALTSystemConfig(model=model_config))

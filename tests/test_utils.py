@@ -1,13 +1,11 @@
-"""Tests for RNG helpers, timers and state serialization."""
+"""Tests for RNG helpers and state serialization."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import child_rng, new_rng, spawn_rngs
 from repro.utils.serialization import load_metadata, load_state, save_state
-from repro.utils.timer import Timer, timed
 
 
 class TestRng:
@@ -27,35 +25,6 @@ class TestRng:
         parent = new_rng(0)
         child = child_rng(parent, "feature-factory")
         assert isinstance(child.integers(0, 10), (int, np.integer))
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        timer = Timer()
-        with timer.measure("step"):
-            sum(range(1000))
-        with timer.measure("step"):
-            sum(range(1000))
-        assert timer.count("step") == 2
-        assert timer.total("step") >= timer.mean("step") > 0
-        assert timer.mean_ms("step") == pytest.approx(timer.mean("step") * 1000)
-
-    def test_unknown_name_is_zero(self):
-        timer = Timer()
-        assert timer.mean("missing") == 0.0
-        assert timer.count("missing") == 0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer.measure("x"):
-            pass
-        timer.reset()
-        assert timer.count("x") == 0
-
-    def test_timed_context(self):
-        with timed() as holder:
-            sum(range(100))
-        assert holder[0] > 0
 
 
 class TestSerialization:
